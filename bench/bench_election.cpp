@@ -32,6 +32,7 @@
 #include "engine/sweep.hpp"
 #include "engine/workload.hpp"
 #include "graph/generators.hpp"
+#include "radio/simulator.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 #include "support/thread_pool.hpp"
@@ -255,7 +256,8 @@ void print_e4_table() {
 
 void print_e5_table() {
   // The engine trajectory: steady-state throughput of the scalar reference
-  // loop vs the wavefront engine on a mutation sweep at n=64 — the planner
+  // loop vs the bitset fast path (the "wavefront" row and snapshot keys) on
+  // a mutation sweep at n=64 — the planner
   // workload of E4, at the tag spans where simulation (not classification)
   // is the cost.  Each engine runs the same jobs twice, a 1-pass batch and
   // a (1+kPasses)-pass batch; their wall-time difference is kPasses times
@@ -293,20 +295,27 @@ void print_e5_table() {
     double steady_millis = 0.0;  ///< (warm batch - cold batch) wall time
     engine::BatchReport report;  ///< the (1+kPasses)-pass batch
   };
-  auto measure = [&](engine::EngineMode mode) {
+  auto measure = [&](radio::SimulatorEngine simulator) {
     // One thread and the schedule cache on for both engines: the comparison
-    // moves exactly one lever, the simulation path.
-    engine::BatchRunner runner({.threads = 1,
-                                .cache_capacity = engine::ScheduleCache::kDefaultCapacity,
-                                .engine = mode});
+    // moves exactly one lever, the simulator loop every job selects.
+    auto select = [simulator](std::vector<engine::BatchJob> jobs) {
+      for (engine::BatchJob& job : jobs) {
+        job.options.simulator.engine = simulator;
+      }
+      return jobs;
+    };
+    const std::vector<engine::BatchJob> cold = select(cold_jobs);
+    const std::vector<engine::BatchJob> warm = select(warm_jobs);
+    engine::BatchRunner runner(
+        {.threads = 1, .cache_capacity = engine::ScheduleCache::kDefaultCapacity});
     EngineRun run;
-    run.cold_millis = runner.run(cold_jobs).wall_millis;
-    run.report = runner.run(warm_jobs);
+    run.cold_millis = runner.run(cold).wall_millis;
+    run.report = runner.run(warm);
     run.steady_millis = std::max(run.report.wall_millis - run.cold_millis, 1e-6);
     return run;
   };
-  const EngineRun scalar = measure(engine::EngineMode::Scalar);
-  const EngineRun wavefront = measure(engine::EngineMode::Wavefront);
+  const EngineRun scalar = measure(radio::SimulatorEngine::Scalar);
+  const EngineRun wavefront = measure(radio::SimulatorEngine::Bitset);
   const bool identical = engine::same_results(scalar.report, wavefront.report);
 
   const double steady_jobs = static_cast<double>(kPasses) * static_cast<double>(cold_jobs.size());

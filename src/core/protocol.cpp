@@ -1,10 +1,10 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "baselines/binary_search.hpp"
@@ -13,6 +13,7 @@
 #include "core/fast_classifier.hpp"
 #include "obs/metrics.hpp"
 #include "support/assert.hpp"
+#include "support/parse.hpp"
 
 namespace arl::core {
 
@@ -422,13 +423,13 @@ ProtocolSpec parse_protocol(std::string_view text) {
   if (colon == std::string_view::npos) {
     return spec;
   }
-  char* end = nullptr;
-  const std::string param_string(param);
-  const unsigned long long value = std::strtoull(param_string.c_str(), &end, 10);
-  if (param_string.empty() || end != param_string.c_str() + param_string.size()) {
+  // Digits only: no sign, whitespace or other strtoull leniency.
+  const std::optional<std::uint64_t> parsed = support::parse_decimal_u64(param);
+  if (!parsed) {
     throw support::ContractViolation("malformed parameter in protocol '" + std::string(text) +
                                      "'");
   }
+  const std::uint64_t value = *parsed;
   switch (spec.kind) {
     case ProtocolKind::BinarySearch:
     case ProtocolKind::TreeSplit:

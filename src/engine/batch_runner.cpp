@@ -42,9 +42,8 @@ namespace {
 
 /// Executes one job on one worker's scratch and condenses the report.
 JobOutcome execute_job(const BatchJob& job, JobId id, std::uint64_t batch_seed,
-                       EngineMode engine, const fault::FaultSpec& fault_spec,
-                       core::ElectionScratch& scratch, core::ElectionReport* keep,
-                       obs::TraceSink* trace) {
+                       const fault::FaultSpec& fault_spec, core::ElectionScratch& scratch,
+                       core::ElectionReport* keep, obs::TraceSink* trace) {
   // The frame collects this job's phase spans (classify, simulate, store
   // I/O, ...) via the thread-local PhaseTimer hook — per-job attribution
   // without threading a parameter through core::run_protocol.
@@ -58,15 +57,11 @@ JobOutcome execute_job(const BatchJob& job, JobId id, std::uint64_t batch_seed,
     // of (batch seed, global job id), mirroring the coin-seed discipline.
     options.simulator.fault = {fault_spec, fault::job_fault_seed(batch_seed, id)};
   }
-  if (engine == EngineMode::Scalar) {
-    options.simulator.engine = radio::SimulatorEngine::Scalar;
-  } else {
-    // Wavefront (and Auto, which resolves to it): the bitset fast path, with
-    // result histories skipped — no engine consumer reads them, and
-    // ElectionReport never retains them, so outcomes are unchanged.
-    options.simulator.engine = radio::SimulatorEngine::Bitset;
-    options.simulator.keep_histories = false;
-  }
+  // Result histories are skipped: no batch consumer reads them, and
+  // ElectionReport never retains them, so outcomes are unchanged.  The
+  // simulator loop stays the job's own choice (the bitset default; the
+  // parity tests select the scalar reference per job).
+  options.simulator.keep_histories = false;
 
   core::ElectionReport report = core::run_protocol(job.configuration, job.protocol, options,
                                                    scratch);
@@ -154,7 +149,6 @@ BatchReport BatchRunner::run_batch(JobId begin, JobId end, const Fetch& fetch,
                                                         : obs::MetricsSnapshot{};
   const JobId count = end - begin;
   const std::uint64_t seed = overrides.seed.value_or(options_.seed);
-  const EngineMode engine = overrides.engine.value_or(options_.engine);
   const fault::FaultSpec fault = overrides.fault.value_or(options_.fault);
   BatchReport report;
   report.fault = fault;
@@ -208,7 +202,7 @@ BatchReport BatchRunner::run_batch(JobId begin, JobId end, const Fetch& fetch,
   futures.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     futures.push_back(pool_.submit(
-        [this, begin, end, &fetch, &next, &report, cache_handle, seed, engine, &fault]() {
+        [this, begin, end, &fetch, &next, &report, cache_handle, seed, &fault]() {
           core::ElectionScratch scratch;
           scratch.schedule_cache = cache_handle;
           for (JobId id = next.fetch_add(1); id < end; id = next.fetch_add(1)) {
@@ -216,7 +210,7 @@ BatchReport BatchRunner::run_batch(JobId begin, JobId end, const Fetch& fetch,
             core::ElectionReport* keep =
                 options_.keep_reports ? &report.reports[id - begin] : nullptr;
             report.jobs[id - begin] =
-                execute_job(job, id, seed, engine, fault, scratch, keep, options_.job_trace);
+                execute_job(job, id, seed, fault, scratch, keep, options_.job_trace);
           }
         }));
   }

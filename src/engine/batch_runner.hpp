@@ -28,17 +28,6 @@
 
 namespace arl::engine {
 
-/// Which simulation path a batch drives its jobs through.  Outcomes are
-/// bit-identical across modes (asserted by tests/test_simulator_fast.cpp);
-/// the modes differ only in throughput.
-enum class EngineMode : std::uint8_t {
-  Auto,       ///< currently resolves to Wavefront
-  Scalar,     ///< the reference per-node simulator loop
-  Wavefront,  ///< bitset fast path + histories skipped in the results; the
-              ///< per-worker scratch carries adjacency bitmaps and compiled
-              ///< schedules across same-topology jobs
-};
-
 /// Engine-level knobs (per BatchRunner, not per job).
 struct BatchOptions {
   /// Worker threads; 0 means hardware concurrency.
@@ -66,10 +55,6 @@ struct BatchOptions {
   /// and schedules survive the process and preload the next cold batch.
   /// Outcomes are bit-identical with the store on, off, or pre-populated.
   std::string store_directory = {};
-
-  /// Simulation path; overrides any per-job simulator engine selection
-  /// (jobs carrying a trace sink still fall back to the scalar loop).
-  EngineMode engine = EngineMode::Auto;
 
   /// Fault injected into every job of the batch (`arl sweep --fault=SPEC`).
   /// Per-job dice seeds derive from the batch master seed through the
@@ -192,7 +177,6 @@ struct BatchReport {
 /// BatchRunner this way.  Unset fields inherit the runner's options.
 struct RunOverrides {
   std::optional<std::uint64_t> seed;    ///< batch master seed for this run
-  std::optional<EngineMode> engine;     ///< simulation path for this run
   std::optional<fault::FaultSpec> fault;  ///< fault spec for this run
   /// Worker cap for this run (>= 1); the run uses min(pool size, job count,
   /// cap) workers.  Outcomes are thread-count-invariant, so this only

@@ -39,8 +39,9 @@ struct BatchJob {
   core::ProtocolSpec protocol = {};
 
   /// Election knobs.  `options.simulate` is ignored (the protocol spec
-  /// decides whether to simulate) and `options.simulator.coin_seed` is
-  /// overwritten by the engine from the batch seed.
+  /// decides whether to simulate), `options.simulator.coin_seed` is
+  /// overwritten by the engine from the batch seed and
+  /// `options.simulator.keep_histories` is forced off.
   core::ElectionOptions options = {};
 };
 

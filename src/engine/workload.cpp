@@ -1,8 +1,7 @@
 #include "engine/workload.hpp"
 
-#include <array>
 #include <limits>
-#include <sstream>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -18,10 +17,14 @@ namespace arl::engine {
 
 namespace {
 
+using support::check;
 using support::ContractViolation;
+using support::parse_number;
+using support::parse_probability;
+using support::shortest_double;
 
 /// Registry-order kind tokens (the part of a name before ':').
-constexpr std::array<std::pair<WorkloadKind, const char*>, 12> kKinds = {{
+constexpr support::KindTokens<WorkloadKind, 12> kKinds = {{
     {WorkloadKind::Random, "random"},
     {WorkloadKind::Exhaustive, "exhaustive"},
     {WorkloadKind::FamilyG, "family-g"},
@@ -35,15 +38,6 @@ constexpr std::array<std::pair<WorkloadKind, const char*>, 12> kKinds = {{
     {WorkloadKind::SingleHop, "single-hop"},
     {WorkloadKind::Mutations, "mutations"},
 }};
-
-const char* kind_token(WorkloadKind kind) {
-  for (const auto& [k, token] : kKinds) {
-    if (k == kind) {
-      return token;
-    }
-  }
-  return "?";
-}
 
 /// A fresh spec of `kind` with that kind's default parameters — the one
 /// construction path shared by the factories and parse_workload, so
@@ -67,31 +61,10 @@ WorkloadSpec blank(WorkloadKind kind) {
   return spec;
 }
 
-/// Shortest decimal spelling that round-trips to exactly `value` — the
-/// canonical form of p in names ("0.3", not "0.29999999999999999").
-std::string shortest_double(double value) {
-  for (int precision = 1; precision <= std::numeric_limits<double>::max_digits10;
-       ++precision) {
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    if (std::stod(out.str()) == value) {
-      return out.str();
-    }
-  }
-  return std::to_string(value);
-}
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    throw ContractViolation(what);
-  }
-}
-
 /// Parameter bounds, enforced by parse_workload AND instantiate (a spec
 /// built by hand gets the same validation the grammar applies).
 void validate(const WorkloadSpec& spec) {
-  const std::string at = std::string("workload '") + kind_token(spec.kind) + "': ";
+  const std::string at = std::string("workload '") + support::kind_token(kKinds, spec.kind) + "': ";
   check(spec.span <= 1'000'000, at + "sigma must be in [0, 1000000]");
   // Stretching tags to an exact positive span needs two nodes to stretch
   // between (config::random_tags_with_span's precondition) — reject at
@@ -139,26 +112,6 @@ void validate(const WorkloadSpec& spec) {
       break;
     default:
       break;
-  }
-}
-
-std::uint32_t parse_number(const std::string& value, const std::string& what) {
-  check(!value.empty() && value.size() <= 9 &&
-            value.find_first_not_of("0123456789") == std::string::npos,
-        what + " must be a decimal integer in [0, 999999999] (got '" + value + "')");
-  return static_cast<std::uint32_t>(std::stoul(value));
-}
-
-double parse_probability(const std::string& value, const std::string& what) {
-  // Only canonical non-negative spellings (support::is_canonical_number, the
-  // same grammar the shard-report wire enforces) — so a name parses to
-  // exactly the double its writer printed.
-  check(support::is_canonical_number(value),
-        what + " must be a decimal number (got '" + value + "')");
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    throw ContractViolation(what + " is out of range (got '" + value + "')");
   }
 }
 
@@ -310,7 +263,7 @@ bool operator==(const WorkloadSpec& a, const WorkloadSpec& b) {
 
 std::string WorkloadSpec::name() const {
   if (kind == WorkloadKind::Mutations) {
-    return std::string(kind_token(kind)) + ":" + (base ? base->name() : "?");
+    return std::string(support::kind_token(kKinds, kind)) + ":" + (base ? base->name() : "?");
   }
   std::vector<std::string> params;
   switch (kind) {
@@ -350,7 +303,7 @@ std::string WorkloadSpec::name() const {
   if (fast) {
     params.push_back("fast=1");
   }
-  std::string out = kind_token(kind);
+  std::string out = support::kind_token(kKinds, kind);
   for (std::size_t i = 0; i < params.size(); ++i) {
     out += (i == 0 ? ':' : ',');
     out += params[i];
@@ -536,19 +489,12 @@ std::string workload_names() {
 WorkloadSpec parse_workload(std::string_view text) {
   const std::size_t colon = text.find(':');
   const std::string token(text.substr(0, colon));
-  WorkloadKind kind = WorkloadKind::Random;
-  bool known = false;
-  for (const auto& [k, name] : kKinds) {
-    if (token == name) {
-      kind = k;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
+  const std::optional<WorkloadKind> found = support::find_kind(kKinds, token);
+  if (!found) {
     throw ContractViolation("unknown workload '" + std::string(text) +
                             "' (registered: " + workload_names() + ")");
   }
+  const WorkloadKind kind = *found;
 
   if (kind == WorkloadKind::Mutations) {
     if (colon == std::string_view::npos || colon + 1 >= text.size()) {

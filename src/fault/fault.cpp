@@ -1,9 +1,7 @@
 #include "fault/fault.hpp"
 
-#include <array>
-#include <limits>
 #include <numeric>
-#include <sstream>
+#include <optional>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -15,7 +13,11 @@ namespace arl::fault {
 
 namespace {
 
+using support::check;
 using support::ContractViolation;
+using support::parse_number;
+using support::parse_probability;
+using support::shortest_double;
 
 /// Domain seed of the fault digest family — distinct from the workload/wire
 /// digest domain (0xD157) and the shard-report body domain (0xB0D7), so a
@@ -35,7 +37,7 @@ constexpr std::uint64_t kCrashStream = 3;
 constexpr std::uint64_t kWakeStream = 4;
 
 /// Registry-order kind tokens (the part of a name before ':').
-constexpr std::array<std::pair<FaultKind, const char*>, 5> kKinds = {{
+constexpr support::KindTokens<FaultKind, 5> kKinds = {{
     {FaultKind::None, "none"},
     {FaultKind::Drop, "drop"},
     {FaultKind::Corrupt, "corrupt"},
@@ -43,40 +45,10 @@ constexpr std::array<std::pair<FaultKind, const char*>, 5> kKinds = {{
     {FaultKind::AdversarialWake, "adversarial-wake"},
 }};
 
-const char* kind_token(FaultKind kind) {
-  for (const auto& [k, token] : kKinds) {
-    if (k == kind) {
-      return token;
-    }
-  }
-  return "?";
-}
-
-/// Shortest decimal spelling that round-trips to exactly `value` — the
-/// canonical form of probabilities in names (same idiom as workload names).
-std::string shortest_double(double value) {
-  for (int precision = 1; precision <= std::numeric_limits<double>::max_digits10;
-       ++precision) {
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    if (std::stod(out.str()) == value) {
-      return out.str();
-    }
-  }
-  return std::to_string(value);
-}
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    throw ContractViolation(what);
-  }
-}
-
 /// Parameter bounds, enforced by parse_fault AND the factories (a spec built
 /// by hand gets the same validation the grammar applies).
 void validate(const FaultSpec& spec) {
-  const std::string at = std::string("fault '") + kind_token(spec.kind) + "': ";
+  const std::string at = std::string("fault '") + support::kind_token(kKinds, spec.kind) + "': ";
   switch (spec.kind) {
     case FaultKind::Drop:
     case FaultKind::Corrupt:
@@ -93,26 +65,6 @@ void validate(const FaultSpec& spec) {
       break;
     case FaultKind::None:
       break;
-  }
-}
-
-std::uint32_t parse_number(const std::string& value, const std::string& what) {
-  check(!value.empty() && value.size() <= 9 &&
-            value.find_first_not_of("0123456789") == std::string::npos,
-        what + " must be a decimal integer in [0, 999999999] (got '" + value + "')");
-  return static_cast<std::uint32_t>(std::stoul(value));
-}
-
-double parse_probability(const std::string& value, const std::string& what) {
-  // Only canonical non-negative spellings (support::is_canonical_number, the
-  // grammar every wire surface shares) — so a name parses to exactly the
-  // double its writer printed.
-  check(support::is_canonical_number(value),
-        what + " must be a decimal number (got '" + value + "')");
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    throw ContractViolation(what + " is out of range (got '" + value + "')");
   }
 }
 
@@ -170,7 +122,7 @@ bool FaultSpec::active() const {
 }
 
 std::string FaultSpec::name() const {
-  std::string out = kind_token(kind);
+  std::string out = support::kind_token(kKinds, kind);
   switch (kind) {
     case FaultKind::None:
       break;
@@ -295,19 +247,12 @@ std::string fault_names() {
 FaultSpec parse_fault(std::string_view text) {
   const std::size_t colon = text.find(':');
   const std::string token(text.substr(0, colon));
-  FaultKind kind = FaultKind::None;
-  bool known = false;
-  for (const auto& [k, name] : kKinds) {
-    if (token == name) {
-      kind = k;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
+  const std::optional<FaultKind> found = support::find_kind(kKinds, token);
+  if (!found) {
     throw ContractViolation("unknown fault '" + std::string(text) +
                             "' (registered: " + fault_names() + ")");
   }
+  const FaultKind kind = *found;
 
   std::vector<std::string> params;
   if (colon != std::string_view::npos) {

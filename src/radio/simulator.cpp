@@ -81,14 +81,8 @@ RunResult Simulator::run(SimulatorScratch& scratch) const {
   // loop.  An inactive FaultPlan — `none` or an inert parameterization like
   // drop:0 — does not, keeping faultless runs bit-identical and fast.
   const bool bitset_ok = options_.trace == nullptr && !options_.fault.active();
-  switch (options_.engine) {
-    case SimulatorEngine::Scalar:
-      return run_scalar(scratch);
-    case SimulatorEngine::Bitset:
-    case SimulatorEngine::Auto:
-      return bitset_ok ? run_bitset(scratch) : run_scalar(scratch);
-  }
-  return run_scalar(scratch);  // unreachable
+  return options_.engine == SimulatorEngine::Bitset && bitset_ok ? run_bitset(scratch)
+                                                                 : run_scalar(scratch);
 }
 
 RunResult Simulator::run_scalar(SimulatorScratch& scratch) const {

@@ -49,12 +49,13 @@ enum class WakePolicy : std::uint8_t {
 
 /// Which inner loop run() executes.  Both produce bit-identical results
 /// (same RunResult including RunStats and histories); the bitset path is the
-/// word-parallel fast path, the scalar path is the reference loop and the
-/// only one that emits trace callbacks.
+/// word-parallel fast path every production caller runs, the scalar path is
+/// the reference loop the differential tests compare it against and the
+/// only one that emits trace callbacks or rolls fault dice.
 enum class SimulatorEngine : std::uint8_t {
-  Auto,    ///< bitset unless a trace sink is attached
   Scalar,  ///< the reference per-node loop
-  Bitset,  ///< word-parallel fast path (falls back to scalar under a trace)
+  Bitset,  ///< word-parallel fast path (falls back to scalar under a trace
+           ///< sink or an active fault plan)
 };
 
 /// Run-control knobs.
@@ -85,7 +86,7 @@ struct SimulatorOptions {
   ChannelModel channel_model = ChannelModel::CollisionDetection;
 
   /// Inner-loop selection (see SimulatorEngine).
-  SimulatorEngine engine = SimulatorEngine::Auto;
+  SimulatorEngine engine = SimulatorEngine::Bitset;
 
   /// Fault plan (spec + per-job seed; see fault/fault.hpp).  The default
   /// `none` plan is inactive and leaves every code path — including the

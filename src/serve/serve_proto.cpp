@@ -95,19 +95,6 @@ std::string_view require_field(const std::vector<std::string_view>& tokens, std:
   return *value;
 }
 
-std::string engine_token(engine::EngineMode mode) {
-  switch (mode) {
-    case engine::EngineMode::Scalar:
-      return "scalar";
-    case engine::EngineMode::Wavefront:
-      return "wavefront";
-    case engine::EngineMode::Auto:
-      break;
-  }
-  ARL_ASSERT(false, "EngineMode::Auto is spelled by absence, never formatted");
-  return {};
-}
-
 SweepRequest parse_sweep_fields(const std::vector<std::string_view>& tokens, std::size_t cursor) {
   SweepRequest sweep;
 
@@ -186,18 +173,6 @@ SweepRequest parse_sweep_fields(const std::vector<std::string_view>& tokens, std
       sweep.shard = dist::parse_shard(*shard);
     } catch (const support::ContractViolation& violation) {
       throw ProtoError("bad shard: " + std::string(violation.what()));
-    }
-  }
-
-  if (const auto mode = take_field(tokens, cursor, "engine")) {
-    if (*mode == "scalar") {
-      sweep.engine = engine::EngineMode::Scalar;
-    } else if (*mode == "wavefront") {
-      sweep.engine = engine::EngineMode::Wavefront;
-    } else {
-      // "auto" is spelled by absence; one canonical spelling per request.
-      throw ProtoError("engine must be 'scalar' or 'wavefront' (got '" + std::string(*mode) +
-                       "'; omit the field for auto)");
     }
   }
 
@@ -308,9 +283,6 @@ std::string format_request(const Request& request) {
   }
   if (sweep.shard) {
     line += " shard=" + sweep.shard->name();
-  }
-  if (sweep.engine != engine::EngineMode::Auto) {
-    line += " engine=" + engine_token(sweep.engine);
   }
   if (sweep.threads) {
     line += " threads=" + std::to_string(*sweep.threads);

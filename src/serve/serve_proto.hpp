@@ -16,8 +16,8 @@
 ///   arl-serve 1 ping
 ///   arl-serve 1 stats
 ///   arl-serve 1 sweep workload=<name> protocols=<p1,p2,...> seed=<u64>
-///       [fault=<spec>] [count=<u64>] [shard=<i/K>] [engine=<scalar|wavefront>]
-///       [threads=<u64>] [cache=off] [store=off]
+///       [fault=<spec>] [count=<u64>] [shard=<i/K>] [threads=<u64>]
+///       [cache=off] [store=off]
 ///
 /// Fields appear in exactly that order, each at most once.  `workload`, the
 /// protocol names and `fault` must be the *canonical* registry spellings
@@ -27,9 +27,8 @@
 /// shard-report parser enforces).  `count` is required exactly when the
 /// workload does not imply its own job count (`WorkloadSpec::bounded()`);
 /// the optional knobs have canonical-absence defaults (`fault` absent means
-/// none, `engine` absent means auto, `cache=off` is the only spelling that
-/// disables the shared cache, `store=off` the only one that skips the
-/// server's artifact store).
+/// none, `cache=off` is the only spelling that disables the shared cache,
+/// `store=off` the only one that skips the server's artifact store).
 ///
 /// Responses (server to client):
 ///
@@ -69,7 +68,6 @@
 
 #include "core/protocol.hpp"
 #include "dist/shard.hpp"
-#include "engine/batch_runner.hpp"
 #include "engine/workload.hpp"
 #include "fault/fault.hpp"
 
@@ -115,9 +113,6 @@ struct SweepRequest {
 
   /// Run only this shard of the sweep's job range (absent: the whole range).
   std::optional<dist::ShardSpec> shard;
-
-  /// Simulation path; Auto (the canonical absence) lets the engine choose.
-  engine::EngineMode engine = engine::EngineMode::Auto;
 
   /// Worker cap for this request, in [1, kMaxRequestThreads] (absent: the
   /// server's full pool).  Shapes throughput only, never outcomes.

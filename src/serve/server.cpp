@@ -339,9 +339,6 @@ struct SweepServer::Impl {
       engine::RunOverrides overrides;
       overrides.seed = request.seed;
       overrides.fault = request.fault;
-      if (request.engine != engine::EngineMode::Auto) {
-        overrides.engine = request.engine;
-      }
       if (request.threads) {
         overrides.max_threads = static_cast<std::size_t>(*request.threads);
       }

@@ -212,15 +212,27 @@ bool make_directories(const std::string& path) {
 #endif
 }
 
+/// How a finished tmp file becomes the entry.
+enum class Publish : std::uint8_t {
+  Replace,  ///< rename(): overwrites any entry (schedule-bearing saves)
+  Create,   ///< link(): never overwrites (classification-only saves)
+};
+
+enum class WriteResult : std::uint8_t { Saved, Exists, Failed };
+
 /// Writes `text` to `final_path` via a private tmp sibling: write, fsync,
-/// rename, fsync the directory.  Returns false on any failure (the tmp file
-/// is unlinked best-effort; the final path is never left partial).
-bool write_entry_atomically(const std::string& directory, const std::string& final_path,
-                            const std::string& tmp_path, const std::string& text) {
+/// publish, fsync the directory.  Publish::Create returns Exists, writing
+/// nothing, when any entry is already there — the existence check and the
+/// publish are one atomic link(), so a schedule-bearing entry that a racing
+/// save renames into place can never be clobbered.  The tmp file never
+/// outlives the call; the final path is never left partial.
+WriteResult write_entry_atomically(const std::string& directory, const std::string& final_path,
+                                   const std::string& tmp_path, const std::string& text,
+                                   Publish publish) {
 #if ARL_STORE_HAS_POSIX_IO
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    return false;
+    return WriteResult::Failed;
   }
   std::size_t written = 0;
   bool ok = true;
@@ -237,33 +249,44 @@ bool write_entry_atomically(const std::string& directory, const std::string& fin
   }
   ok = ok && ::fsync(fd) == 0;
   ok = ::close(fd) == 0 && ok;
-  ok = ok && ::rename(tmp_path.c_str(), final_path.c_str()) == 0;
-  if (!ok) {
+  if (ok && publish == Publish::Create) {
+    const bool linked = ::link(tmp_path.c_str(), final_path.c_str()) == 0;
+    const bool existed = !linked && errno == EEXIST;
     ::unlink(tmp_path.c_str());
-    return false;
+    if (!linked) {
+      return existed ? WriteResult::Exists : WriteResult::Failed;
+    }
+  } else if (!ok || ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+    ::unlink(tmp_path.c_str());
+    return WriteResult::Failed;
   }
-  // Make the rename itself durable.
+  // Make the publish itself durable.
   const int dir_fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
   if (dir_fd >= 0) {
     (void)::fsync(dir_fd);
     (void)::close(dir_fd);
   }
-  return true;
+  return WriteResult::Saved;
 #else
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     out << text;
     if (!out.good()) {
       std::remove(tmp_path.c_str());
-      return false;
+      return WriteResult::Failed;
     }
+  }
+  // Without link() the no-overwrite check is best effort.
+  if (publish == Publish::Create && file_exists(final_path)) {
+    std::remove(tmp_path.c_str());
+    return WriteResult::Exists;
   }
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     std::remove(tmp_path.c_str());
-    return false;
+    return WriteResult::Failed;
   }
   (void)directory;
-  return true;
+  return WriteResult::Saved;
 #endif
 }
 
@@ -341,8 +364,10 @@ void ArtifactStore::save(const config::Configuration& configuration, radio::Chan
 
   // An entry on disk is at least classification-complete; only a schedule
   // upgrade justifies rewriting it (and a classification-only save must
-  // never downgrade a schedule-bearing entry).
-  if (compiled.schedule == nullptr && file_exists(path)) {
+  // never downgrade a schedule-bearing entry).  This check only spares the
+  // write; Publish::Create below enforces the rule atomically.
+  const bool classification_only = compiled.schedule == nullptr;
+  if (classification_only && file_exists(path)) {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.skipped;
     return;
@@ -361,12 +386,20 @@ void ArtifactStore::save(const config::Configuration& configuration, radio::Chan
 #endif
 
   const std::string text = compose_entry(key, configuration, model, fast_classifier, compiled);
-  const bool ok = write_entry_atomically(directory_, path, tmp_path, text);
+  const WriteResult result =
+      write_entry_atomically(directory_, path, tmp_path, text,
+                             classification_only ? Publish::Create : Publish::Replace);
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (ok) {
-    ++stats_.saves;
-  } else {
-    ++stats_.errors;
+  switch (result) {
+    case WriteResult::Saved:
+      ++stats_.saves;
+      break;
+    case WriteResult::Exists:
+      ++stats_.skipped;
+      break;
+    case WriteResult::Failed:
+      ++stats_.errors;
+      break;
   }
 }
 

@@ -54,7 +54,7 @@ struct ArtifactStoreStats {
   std::uint64_t hits = 0;      ///< loads that produced a verified artifact
   std::uint64_t misses = 0;    ///< loads that found no entry file
   std::uint64_t rejected = 0;  ///< loads that found a corrupt/mismatched file (counts as a miss)
-  std::uint64_t saves = 0;     ///< entries written (tmp+rename completed)
+  std::uint64_t saves = 0;     ///< entries written (tmp file published)
   std::uint64_t skipped = 0;   ///< saves elided because the entry on disk is already as good
   std::uint64_t errors = 0;    ///< I/O failures (the store keeps working; results are unaffected)
 
@@ -65,10 +65,10 @@ struct ArtifactStoreStats {
 };
 
 /// The on-disk tier.  Thread-safe: loads and saves take no lock beyond the
-/// stats mutex (distinct keys touch distinct files; same-key racers both
-/// write equivalent bytes and rename atomically).  All I/O failures are
-/// absorbed into the stats — the store degrades to "always miss" rather
-/// than failing a sweep.
+/// stats mutex (distinct keys touch distinct files; same-key racers publish
+/// atomically, and only schedule-bearing racers may replace an entry).  All
+/// I/O failures are absorbed into the stats — the store degrades to "always
+/// miss" rather than failing a sweep.
 class ArtifactStore {
  public:
   /// Opens (and creates, including parents) the store directory; throws
@@ -83,10 +83,12 @@ class ArtifactStore {
   [[nodiscard]] std::shared_ptr<const core::CompiledConfiguration> load(
       const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier);
 
-  /// Persists the entry (tmp+rename+fsync).  Skips the write when the file
-  /// already exists and `compiled` carries no schedule — an existing entry
-  /// is at least as complete, and a schedule-bearing entry must never be
-  /// downgraded to a classification-only one.
+  /// Persists the entry (tmp+fsync, then rename or link).  Skips the write
+  /// when the file already exists and `compiled` carries no schedule — an
+  /// existing entry is at least as complete, and a schedule-bearing entry
+  /// must never be downgraded to a classification-only one.  The skip is
+  /// atomic: classification-only entries are published with link(), which
+  /// fails on any existing entry, even one a concurrent save just wrote.
   void save(const config::Configuration& configuration, radio::ChannelModel model,
             bool fast_classifier, const core::CompiledConfiguration& compiled);
 

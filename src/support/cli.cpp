@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "support/assert.hpp"
@@ -48,6 +49,15 @@ std::vector<std::string> Args::get_strings(const std::string& name) const {
     }
   }
   return values;
+}
+
+std::optional<std::string> Args::unknown_flag(const std::vector<std::string_view>& known) const {
+  for (const auto& [flag, value] : flags_) {
+    if (std::find(known.begin(), known.end(), flag) == known.end()) {
+      return flag;
+    }
+  }
+  return std::nullopt;
 }
 
 std::int64_t Args::get_int(const std::string& name, std::int64_t fallback) const {

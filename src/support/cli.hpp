@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace arl::support {
@@ -35,6 +36,12 @@ class Args {
 
   /// Double value of `--name=value`, or `fallback` when absent.
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+
+  /// The first flag whose name is not in `known`, or nullopt when every
+  /// flag is known — for commands that reject a misspelt or retired flag
+  /// instead of silently ignoring it.
+  [[nodiscard]] std::optional<std::string> unknown_flag(
+      const std::vector<std::string_view>& known) const;
 
   /// Positional (non-flag) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }

@@ -8,6 +8,11 @@
 /// request protocol (serve/serve_proto.cpp).  One predicate and one integer
 /// parser, so the parsers can never drift apart on what a number looks like.
 ///
+/// The spec-grammar helpers below (kind-token tables, `check`,
+/// `parse_number`, `parse_probability`, `shortest_double`) are the one copy
+/// the workload and fault registries share, so both grammars spell numbers
+/// and report errors identically.
+///
 /// `TokenCursor` serves the artifact text formats (config::to_text,
 /// classification_to_text, schedule_to_text), whose hot lines carry
 /// thousands of numeric tokens — an adjacency list, a per-node class
@@ -17,12 +22,19 @@
 /// re-deriving it.  The cursor scans a line in place with std::from_chars:
 /// no allocation, no locale, no stream state.
 
+#include <array>
 #include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
+
+#include "support/assert.hpp"
 
 namespace arl::support {
 
@@ -84,6 +96,79 @@ namespace arl::support {
     return std::nullopt;
   }
   return value;
+}
+
+/// A spec grammar's registry-order table of (kind, token) pairs — the token
+/// is the part of a spec name before ':'.
+template <typename Kind, std::size_t N>
+using KindTokens = std::array<std::pair<Kind, const char*>, N>;
+
+/// The token spelling `kind` in `table` ("?" for a kind it lacks).
+template <typename Kind, std::size_t N>
+[[nodiscard]] constexpr const char* kind_token(const KindTokens<Kind, N>& table, Kind kind) {
+  for (const auto& [k, token] : table) {
+    if (k == kind) {
+      return token;
+    }
+  }
+  return "?";
+}
+
+/// The kind `token` spells in `table`, or nullopt for an unknown token.
+template <typename Kind, std::size_t N>
+[[nodiscard]] constexpr std::optional<Kind> find_kind(const KindTokens<Kind, N>& table,
+                                                      std::string_view token) {
+  for (const auto& [k, name] : table) {
+    if (token == name) {
+      return k;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Throws ContractViolation(`what`) unless `ok`: spec errors are shown
+/// verbatim by the CLI, so they read as usage errors, not assertions.
+inline void check(bool ok, const std::string& what) {
+  if (!ok) {
+    throw ContractViolation(what);
+  }
+}
+
+/// Shortest decimal spelling that round-trips to exactly `value` — the
+/// canonical form of the probabilities in spec names ("0.3", not
+/// "0.29999999999999999").
+[[nodiscard]] inline std::string shortest_double(double value) {
+  for (int precision = 1; precision <= std::numeric_limits<double>::max_digits10;
+       ++precision) {
+    std::ostringstream out;
+    out.precision(precision);
+    out << value;
+    if (std::stod(out.str()) == value) {
+      return out.str();
+    }
+  }
+  return std::to_string(value);
+}
+
+/// A spec's integer parameter: 1 to 9 decimal digits, nothing else.
+[[nodiscard]] inline std::uint32_t parse_number(const std::string& value,
+                                                const std::string& what) {
+  check(!value.empty() && value.size() <= 9 &&
+            value.find_first_not_of("0123456789") == std::string::npos,
+        what + " must be a decimal integer in [0, 999999999] (got '" + value + "')");
+  return static_cast<std::uint32_t>(std::stoul(value));
+}
+
+/// A spec's real parameter.  Only canonical non-negative spellings
+/// (is_canonical_number, the grammar every wire surface shares) — so a name
+/// parses to exactly the double its writer printed.
+[[nodiscard]] inline double parse_probability(const std::string& value, const std::string& what) {
+  check(is_canonical_number(value), what + " must be a decimal number (got '" + value + "')");
+  try {
+    return std::stod(value);
+  } catch (const std::exception&) {
+    throw ContractViolation(what + " is out of range (got '" + value + "')");
+  }
 }
 
 /// Splits one line into whitespace-separated tokens, in place.  The cursor

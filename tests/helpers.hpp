@@ -10,10 +10,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/configuration.hpp"
 #include "core/classifier.hpp"
+#include "engine/job.hpp"
 #include "graph/graph.hpp"
 #include "radio/program.hpp"
 #include "radio/simulator.hpp"
@@ -177,6 +179,18 @@ inline bool same_partition(const std::vector<core::ClassId>& a,
     }
   }
   return true;
+}
+
+/// `source` with every job's simulator loop set to `simulator` — how the
+/// batch-level parity tests run one sweep through the scalar reference loop
+/// and the bitset fast path.
+inline engine::JobSource with_simulator_engine(engine::JobSource source,
+                                               radio::SimulatorEngine simulator) {
+  return [source = std::move(source), simulator](engine::JobId id) {
+    engine::BatchJob job = source(id);
+    job.options.simulator.engine = simulator;
+    return job;
+  };
 }
 
 }  // namespace arl::testkit

@@ -4,7 +4,7 @@
 /// rejected, never guessed at; inert parameterizations run the exact
 /// unfaulted code path (drop:0 is bit-identical to none); and faulted
 /// batches stay deterministic across thread counts, shard shapes and
-/// engine modes — the same invariances the unfaulted engine guarantees.
+/// simulator loops — the same invariances the unfaulted engine guarantees.
 
 #include <gtest/gtest.h>
 
@@ -305,11 +305,10 @@ engine::CountedSweep registry_sweep() {
 }
 
 engine::BatchReport run_faulted(const fault::FaultSpec& fault, unsigned threads,
-                                engine::EngineMode engine = engine::EngineMode::Auto) {
+                                radio::SimulatorEngine simulator = radio::SimulatorEngine::Bitset) {
   const engine::CountedSweep sweep = registry_sweep();
-  engine::BatchRunner runner(
-      {.threads = threads, .seed = kSeed, .engine = engine, .fault = fault});
-  return runner.run(sweep.count, sweep.source);
+  engine::BatchRunner runner({.threads = threads, .seed = kSeed, .fault = fault});
+  return runner.run(sweep.count, testkit::with_simulator_engine(sweep.source, simulator));
 }
 
 TEST(FaultBatch, DropZeroIsBitIdenticalToNone) {
@@ -357,15 +356,13 @@ TEST(FaultBatch, FaultedBatchesAreShardInvariant) {
 }
 
 TEST(FaultBatch, ActiveFaultsFallBackToTheScalarEngine) {
-  // An active fault forces the reference loop no matter which engine was
-  // requested, so all three modes must agree bit-for-bit.
+  // An active fault forces the reference loop no matter which engine a job
+  // selects, so both selections must agree bit-for-bit.
   const fault::FaultSpec spec = fault::FaultSpec::corrupt(0.2);
-  const engine::BatchReport automatic = run_faulted(spec, 2, engine::EngineMode::Auto);
-  const engine::BatchReport scalar = run_faulted(spec, 2, engine::EngineMode::Scalar);
-  const engine::BatchReport wavefront = run_faulted(spec, 2, engine::EngineMode::Wavefront);
-  EXPECT_TRUE(engine::same_results(automatic, scalar));
-  EXPECT_TRUE(engine::same_results(automatic, wavefront));
-  EXPECT_GT(automatic.total_stats.injected_corruptions, 0u);
+  const engine::BatchReport bitset = run_faulted(spec, 2, radio::SimulatorEngine::Bitset);
+  const engine::BatchReport scalar = run_faulted(spec, 2, radio::SimulatorEngine::Scalar);
+  EXPECT_TRUE(engine::same_results(bitset, scalar));
+  EXPECT_GT(bitset.total_stats.injected_corruptions, 0u);
 }
 
 TEST(FaultBatch, OverrideFaultWinsOverBatchOptions) {

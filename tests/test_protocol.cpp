@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "config/families.hpp"
@@ -65,6 +66,16 @@ TEST(ProtocolRegistry, UnknownNamesFailListingTheRegistry) {
   EXPECT_THROW((void)core::parse_protocol("binary-search:64"), support::ContractViolation);
   EXPECT_THROW((void)core::parse_protocol("randomized:0"), support::ContractViolation);
   EXPECT_THROW((void)core::parse_protocol(""), support::ContractViolation);
+  // Parameters are digits only: no signs or whitespace.
+  for (const char* spelling : {"randomized:+5", "randomized: 5", "binary-search:-0"}) {
+    try {
+      (void)core::parse_protocol(spelling);
+      ADD_FAILURE() << "accepted " << spelling;
+    } catch (const support::ContractViolation& error) {
+      EXPECT_NE(std::string(error.what()).find("malformed parameter"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------- dispatch

@@ -71,13 +71,12 @@ TEST(ServeProto, FullyOptionedSweepRoundTrips) {
   request.kind = serve::Request::Kind::Sweep;
   request.sweep = small_sweep_request();
   request.sweep.shard = dist::ShardSpec{1, 3};
-  request.sweep.engine = engine::EngineMode::Scalar;
   request.sweep.threads = 2;
   request.sweep.use_cache = false;
   const std::string line = serve::format_request(request);
   EXPECT_EQ(serve::parse_request(line), request);
   // Canonical spelling: every optional field in its fixed position.
-  EXPECT_NE(line.find("count=6 shard=1/3 engine=scalar threads=2 cache=off"), std::string::npos);
+  EXPECT_NE(line.find("count=6 shard=1/3 threads=2 cache=off"), std::string::npos);
 }
 
 TEST(ServeProto, FaultedSweepRoundTrips) {
@@ -163,12 +162,16 @@ TEST(ServeProto, RejectsMalformedRequests) {
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1",
       // Bounded workload with a count.
       "arl-serve 1 sweep workload=exhaustive:n=3,tau=1 protocols=canonical seed=1 count=5",
-      // Zero count / zero threads / bad engine / bad shard / bad cache.
+      // Zero count / zero threads / retired engine field / bad shard / bad cache.
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=0",
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
       "threads=0",
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
       "engine=auto",
+      "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
+      "engine=scalar",
+      "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
+      "engine=wavefront",
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
       "shard=3/3",
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
@@ -556,7 +559,14 @@ TEST_F(ServeTest, MalformedLinesGetErrorResponsesNotCrashes) {
     const std::string reply = raw_exchange(socket_path_, line);
     EXPECT_EQ(reply.rfind("arl-serve 1 error ", 0), 0u) << reply;
   }
-  EXPECT_EQ(server.counters().protocol_errors, 3u);
+  // The retired engine= field is refused like any other unknown field.
+  const std::string engine_reply = raw_exchange(
+      socket_path_,
+      "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
+      "engine=scalar");
+  EXPECT_EQ(engine_reply.rfind("arl-serve 1 error unexpected field 'engine=scalar'", 0), 0u)
+      << engine_reply;
+  EXPECT_EQ(server.counters().protocol_errors, 4u);
 
   // And the server still serves: a well-formed submission succeeds.
   serve::Client client(socket_path_);

@@ -3,8 +3,8 @@
 /// bitset engine must produce RunResults bit-identical to the scalar
 /// reference loop — same per-node outcomes including full histories, same
 /// RunStats — across channel models, wake policies, history windows,
-/// protocols (with and without listen_streak), scratch reuse, and the batch
-/// engine's scalar/wavefront modes at several thread counts.
+/// protocols (with and without listen_streak), scratch reuse, and batches
+/// whose jobs select either loop at several thread counts.
 
 #include <gtest/gtest.h>
 
@@ -312,10 +312,11 @@ TEST(SimulatorFast, DroppedHistoriesPreserveEverythingElse) {
 
 // ------------------------------------------------------------- batch engine
 
-TEST(SimulatorFast, EngineModesProduceSameResultsAcrossThreadCounts) {
-  // The engine layer: a mixed-protocol sweep through the scalar and
-  // wavefront modes at 1, 2 and 8 worker threads (with and without the
-  // schedule cache) must agree on every outcome and aggregate.
+TEST(SimulatorFast, EnginesProduceSameBatchResultsAcrossThreadCounts) {
+  // The engine layer: a mixed-protocol sweep whose jobs select the scalar
+  // reference loop or the bitset fast path, at 1, 2 and 8 worker threads
+  // (with and without the schedule cache), must agree on every outcome and
+  // aggregate.
   const engine::WorkloadSpec workload = engine::parse_workload("random:n=8,p=0.3,sigma=3");
   const engine::CountedSweep sweep = workload.instantiate(
       /*seed=*/17,
@@ -323,20 +324,20 @@ TEST(SimulatorFast, EngineModesProduceSameResultsAcrossThreadCounts) {
       {.count = 48});
 
   std::optional<engine::BatchReport> reference;
-  for (const engine::EngineMode mode :
-       {engine::EngineMode::Scalar, engine::EngineMode::Wavefront, engine::EngineMode::Auto}) {
+  for (const radio::SimulatorEngine simulator :
+       {radio::SimulatorEngine::Scalar, radio::SimulatorEngine::Bitset}) {
+    const engine::JobSource source = testkit::with_simulator_engine(sweep.source, simulator);
     for (const unsigned threads : {1u, 2u, 8u}) {
       for (const std::size_t cache : {std::size_t{0}, engine::ScheduleCache::kDefaultCapacity}) {
-        engine::BatchRunner runner(
-            {.threads = threads, .seed = 17, .cache_capacity = cache, .engine = mode});
-        const engine::BatchReport report = runner.run(sweep.count, sweep.source);
+        engine::BatchRunner runner({.threads = threads, .seed = 17, .cache_capacity = cache});
+        const engine::BatchReport report = runner.run(sweep.count, source);
         if (!reference) {
           reference = report;
           continue;
         }
         EXPECT_TRUE(engine::same_results(*reference, report))
-            << "mode " << static_cast<int>(mode) << ", threads " << threads << ", cache "
-            << cache;
+            << "simulator " << static_cast<int>(simulator) << ", threads " << threads
+            << ", cache " << cache;
       }
     }
   }
@@ -344,9 +345,9 @@ TEST(SimulatorFast, EngineModesProduceSameResultsAcrossThreadCounts) {
 
 TEST(SimulatorFast, MutationSweepEngineParityAtN64) {
   // The E5 benchmark shape in miniature: single-tag mutations of an n=64
-  // configuration with a large tag span, where the wavefront mode's bulk
-  // skipping does almost all the work.  Scalar and wavefront reports must
-  // carry identical results.
+  // configuration with a large tag span, where the bitset path's bulk
+  // skipping does almost all the work.  Scalar and bitset jobs must carry
+  // identical results.
   support::Rng rng(4242);
   const config::Configuration base =
       config::random_tags_with_span(graph::gnp_connected(64, 0.1, rng), 256, rng);
@@ -359,12 +360,13 @@ TEST(SimulatorFast, MutationSweepEngineParityAtN64) {
   ASSERT_FALSE(jobs.empty());
 
   std::optional<engine::BatchReport> reference;
-  for (const engine::EngineMode mode :
-       {engine::EngineMode::Scalar, engine::EngineMode::Wavefront}) {
-    engine::BatchRunner runner({.threads = 2,
-                                .seed = 5,
-                                .cache_capacity = engine::ScheduleCache::kDefaultCapacity,
-                                .engine = mode});
+  for (const radio::SimulatorEngine simulator :
+       {radio::SimulatorEngine::Scalar, radio::SimulatorEngine::Bitset}) {
+    for (engine::BatchJob& job : jobs) {
+      job.options.simulator.engine = simulator;
+    }
+    engine::BatchRunner runner(
+        {.threads = 2, .seed = 5, .cache_capacity = engine::ScheduleCache::kDefaultCapacity});
     const engine::BatchReport report = runner.run(jobs);
     if (!reference) {
       reference = report;

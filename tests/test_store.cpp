@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "config/families.hpp"
@@ -374,6 +376,48 @@ TEST_F(StoreTest, ScheduleBearingSaveUpgradesAClassificationOnlyEntry) {
   ASSERT_NE(upgraded, nullptr);
   EXPECT_NE(upgraded->schedule, nullptr);
   EXPECT_EQ(store.stats().saves, 2u);
+}
+
+TEST_F(StoreTest, RacingSavesNeverDowngradeAScheduleOnDisk) {
+  // Classification-only and schedule-bearing saves of one key race from
+  // several threads.  Whatever the interleaving, the entry left on disk must
+  // carry the schedule: a classification-only save that checked before the
+  // schedule landed must not publish over it afterwards.
+  constexpr int kRounds = 64;
+  constexpr int kThreads = 4;
+  const config::Configuration c = config::family_g(2);
+  const radio::ChannelModel model = radio::ChannelModel::CollisionDetection;
+  const core::CompiledConfiguration full = compile(c, model, true);
+  const core::CompiledConfiguration classify_only = compile(c, model, false);
+  ASSERT_NE(full.schedule, nullptr);
+
+  store::ArtifactStore store(dir_);
+  const std::string path = store.entry_path(c, model, false);
+  for (int round = 0; round < kRounds; ++round) {
+    std::remove(path.c_str());
+    std::atomic<int> ready{0};
+    std::vector<std::thread> savers;
+    for (int t = 0; t < kThreads; ++t) {
+      savers.emplace_back([&, t]() {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+          std::this_thread::yield();
+        }
+        store.save(c, model, false, t % 2 == 0 ? classify_only : full);
+      });
+    }
+    for (std::thread& saver : savers) {
+      saver.join();
+    }
+    store::ArtifactStore reader(dir_);
+    const auto loaded = reader.load(c, model, false);
+    ASSERT_NE(loaded, nullptr) << "round " << round;
+    ASSERT_NE(loaded->schedule, nullptr) << "round " << round << ": entry was downgraded";
+  }
+  const store::ArtifactStoreStats stats = store.stats();
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.saves + stats.skipped, std::uint64_t{kRounds} * kThreads);
+  EXPECT_TRUE(tmp_files().empty());
 }
 
 TEST_F(StoreTest, StatsSinceSubtractsCounters) {

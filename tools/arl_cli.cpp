@@ -37,8 +37,10 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define ARL_CLI_HAS_FORK 1
@@ -155,10 +157,6 @@ commands:
                                  (conflicts with --cache=off); outcomes are
                                  bit-identical with the store on, off or
                                  pre-populated
-               --engine=MODE     simulation path: auto (default), scalar (the
-                                 reference loop) or wavefront (word-parallel
-                                 fast path); results are bit-identical, only
-                                 throughput differs
                --metrics-out=FILE  write the run's phase-timing metrics as a
                                  flat JSON object to FILE: per-phase counts
                                  (deterministic at --threads=1) plus total
@@ -208,7 +206,7 @@ commands:
                                  cumulative cache counters instead
                sweep axes as in `arl sweep`: --workload or the legacy
                  family flags, --protocol (repeatable), --count, --seed,
-                 --fault=SPEC, --shard=i/K, --engine=MODE
+                 --fault=SPEC, --shard=i/K
                --threads=N       cap this request's workers in [1, 256]
                                  (omit for the server's full pool)
                --cache=off       opt this request out of the shared cache
@@ -239,7 +237,8 @@ commands:
   help       print this reference (exit 0)
 
 configurations are read from the file argument, or stdin when absent.
-exit codes: 0 success, 1 runtime failure, 2 usage error.
+exit codes: 0 success, 1 runtime failure, 2 usage error (including any flag
+the command does not list above).
 )";
 }
 
@@ -450,22 +449,6 @@ std::string parse_store_directory(const support::Args& args) {
         "--store conflicts with --cache=off (the store is the cache's disk tier)");
   }
   return value;
-}
-
-/// Parses the sweep's --engine flag (default auto).  Throws on anything
-/// else, reaching the usage-error handler (exit 2).
-engine::EngineMode parse_engine(const support::Args& args) {
-  const std::string value = args.get_string("engine", "auto");
-  if (value == "auto") {
-    return engine::EngineMode::Auto;
-  }
-  if (value == "scalar") {
-    return engine::EngineMode::Scalar;
-  }
-  if (value == "wavefront") {
-    return engine::EngineMode::Wavefront;
-  }
-  throw support::ContractViolation("--engine must be auto, scalar or wavefront");
 }
 
 /// Folds the --model/--fast execution flags into a legacy-alias workload
@@ -1053,7 +1036,6 @@ int cmd_sweep(const support::Args& args) {
   batch_options.fault = sweep_fault(args);
   batch_options.cache_capacity = parse_cache_capacity(args);
   batch_options.store_directory = parse_store_directory(args);
-  batch_options.engine = parse_engine(args);
 
   // The protocol axis: repeatable --protocol flags, validated against the
   // registry; several protocols make the batch a head-to-head cross product.
@@ -1169,7 +1151,7 @@ int cmd_sweep(const support::Args& args) {
 /// `arl workloads` — the registry listing, symmetric to the protocol list
 /// CLI errors show: one row per registered workload (its canonical
 /// default-parameter name) plus the spec grammar.
-int cmd_workloads() {
+int cmd_workloads(const support::Args&) {
   support::Table table({"workload", "configurations"});
   for (const engine::WorkloadSpec& workload : engine::registered_workloads()) {
     table.add_row({workload.name(), workload.describe()});
@@ -1181,7 +1163,7 @@ int cmd_workloads() {
 
 /// `arl faults` — the registry listing, symmetric to `arl workloads`: one
 /// row per registered fault (its canonical name) plus the spec grammar.
-int cmd_faults() {
+int cmd_faults(const support::Args&) {
   support::Table table({"fault", "effect"});
   for (const fault::FaultSpec& fault : fault::registered_faults()) {
     table.add_row({fault.name(), fault.describe()});
@@ -1400,7 +1382,6 @@ int cmd_submit(const support::Args& args) {
   if (args.has("shard")) {
     request.shard = dist::parse_shard(args.get_string("shard", ""));
   }
-  request.engine = parse_engine(args);
   const std::int64_t threads_flag = args.get_int("threads", 0);
   if (threads_flag < 0 || threads_flag > static_cast<std::int64_t>(serve::kMaxRequestThreads)) {
     throw support::ContractViolation("--threads must be in [0, 256] (0 = the server's pool)");
@@ -1540,6 +1521,15 @@ int cmd_validate(const support::Args& args) {
   return 1;
 }
 
+/// One `arl` subcommand: its handler and every flag it reads.  main()
+/// rejects any other flag as a usage error (exit 2), so a misspelt or
+/// retired flag fails instead of being silently ignored.
+struct Command {
+  std::string_view name;
+  int (*run)(const support::Args&);
+  std::vector<std::string_view> flags;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1550,55 +1540,43 @@ int main(int argc, char** argv) {
     print_usage(std::cout);
     return 0;
   }
+  const std::vector<Command> commands = {
+      {"gen", cmd_gen, {"family", "m", "n", "sigma", "p", "seed"}},
+      {"classify", cmd_classify, {"model", "fast"}},
+      {"elect", cmd_elect, {"model"}},
+      {"sweep", cmd_sweep,
+       {"workload", "family", "n", "sigma", "p", "model", "fast", "protocol", "classify-only",
+        "seed", "fault", "count", "shard", "threads", "cache", "store", "workers", "out",
+        "metrics-out", "trace"}},
+      {"merge", cmd_merge, {"missing"}},
+      {"serve", cmd_serve, {"socket", "threads", "cache", "store", "queue"}},
+      {"submit", cmd_submit,
+       {"workload", "family", "n", "sigma", "p", "model", "fast", "protocol", "classify-only",
+        "seed", "fault", "count", "shard", "socket", "timeout", "ping", "threads", "cache",
+        "store", "out"}},
+      {"stats", cmd_stats, {"socket", "timeout"}},
+      {"workloads", cmd_workloads, {}},
+      {"faults", cmd_faults, {}},
+      {"trace", cmd_trace, {"model", "verbose"}},
+      {"schedule", cmd_schedule, {"model"}},
+      {"dot", cmd_dot, {}},
+      {"orbits", cmd_orbits, {}},
+      {"validate", cmd_validate, {"model"}},
+  };
   const std::string& command = args.positional().front();
-  try {
-    if (command == "gen") {
-      return cmd_gen(args);
-    }
-    if (command == "classify") {
-      return cmd_classify(args);
-    }
-    if (command == "elect") {
-      return cmd_elect(args);
-    }
-    if (command == "sweep") {
-      return cmd_sweep(args);
-    }
-    if (command == "merge") {
-      return cmd_merge(args);
-    }
-    if (command == "serve") {
-      return cmd_serve(args);
-    }
-    if (command == "submit") {
-      return cmd_submit(args);
-    }
-    if (command == "stats") {
-      return cmd_stats(args);
-    }
-    if (command == "workloads") {
-      return cmd_workloads();
-    }
-    if (command == "faults") {
-      return cmd_faults();
-    }
-    if (command == "trace") {
-      return cmd_trace(args);
-    }
-    if (command == "schedule") {
-      return cmd_schedule(args);
-    }
-    if (command == "dot") {
-      return cmd_dot(args);
-    }
-    if (command == "orbits") {
-      return cmd_orbits(args);
-    }
-    if (command == "validate") {
-      return cmd_validate(args);
-    }
+  const auto found = std::find_if(commands.begin(), commands.end(),
+                                  [&](const Command& c) { return c.name == command; });
+  if (found == commands.end()) {
     std::cerr << "error: unknown command '" << command << "' (see `arl help`)\n";
     return 2;
+  }
+  if (const auto flag = args.unknown_flag(found->flags)) {
+    std::cerr << "error: unknown flag --" << *flag << " for `arl " << command
+              << "` (see `arl help`)\n";
+    return 2;
+  }
+  try {
+    return found->run(args);
   } catch (const support::ContractViolation& error) {
     // Contract violations are misuse — bad flag values, unreadable input —
     // and exit 2 like every other usage error; runtime failures exit 1.
