@@ -5,9 +5,9 @@
 /// elections still verify, how many are attributed to the injected fault,
 /// and how many events each adversary landed — all pure functions of the
 /// fixed seeds, so every field in BENCH_E9.json is exact-match material
-/// for tools/bench_gate (no --tolerance).  The timed series measures the
-/// faulted scalar path's throughput against the unfaulted fast path it
-/// displaces.
+/// for tools/bench_gate (no --tolerance).  The timed series measures what
+/// each adversary costs the bitset simulator loop relative to the
+/// unfaulted sweep.
 
 #include <string>
 #include <vector>

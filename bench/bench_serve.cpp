@@ -26,15 +26,11 @@
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 
-#if ARL_SERVE_HAS_UNIX_SOCKETS
 #include <unistd.h>
-#endif
 
 namespace {
 
 using namespace arl;
-
-#if ARL_SERVE_HAS_UNIX_SOCKETS
 
 constexpr const char* kWorkload = "random:n=256,p=0.03,sigma=200";
 constexpr std::uint64_t kCount = 200;  // configurations per request
@@ -190,14 +186,6 @@ void BM_ServePing(benchmark::State& state) {
 BENCHMARK(BM_ServePing)->Unit(benchmark::kMicrosecond);
 
 void print_tables() { print_e6_table(); }
-
-#else  // !ARL_SERVE_HAS_UNIX_SOCKETS
-
-void print_tables() {
-  std::cout << "\nE6: skipped (no unix domain sockets on this platform)\n";
-}
-
-#endif  // ARL_SERVE_HAS_UNIX_SOCKETS
 
 }  // namespace
 

@@ -24,16 +24,12 @@
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
 #include <unistd.h>
-#endif
 
 namespace {
 
 using namespace arl;
-
-#if defined(__unix__) || defined(__APPLE__)
 
 constexpr const char* kWorkload = "random:n=256,p=0.03,sigma=200";
 constexpr std::uint64_t kCount = 200;  // configurations
@@ -179,14 +175,6 @@ void BM_StoreLoad(benchmark::State& state) {
 BENCHMARK(BM_StoreLoad)->Unit(benchmark::kMicrosecond);
 
 void print_tables() { print_e7_table(); }
-
-#else  // !(defined(__unix__) || defined(__APPLE__))
-
-void print_tables() {
-  std::cout << "\nE7: skipped (no POSIX I/O on this platform)\n";
-}
-
-#endif  // defined(__unix__) || defined(__APPLE__)
 
 }  // namespace
 

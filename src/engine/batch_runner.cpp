@@ -59,8 +59,9 @@ JobOutcome execute_job(const BatchJob& job, JobId id, std::uint64_t batch_seed,
   }
   // Result histories are skipped: no batch consumer reads them, and
   // ElectionReport never retains them, so outcomes are unchanged.  The
-  // simulator loop stays the job's own choice (the bitset default; the
-  // parity tests select the scalar reference per job).
+  // simulator loop stays the job's own choice: the bitset default runs
+  // every job, faulted or traced ones included; the parity tests select the
+  // scalar reference per job.
   options.simulator.keep_histories = false;
 
   core::ElectionReport report = core::run_protocol(job.configuration, job.protocol, options,

@@ -65,8 +65,8 @@ struct FaultSpec {
 
   /// True when the spec can inject anything at all: `none` and the provably
   /// inert parameterizations (drop:0, corrupt:0, crash:0, adversarial-wake:0)
-  /// are inactive, so they run the exact unfaulted code path — including the
-  /// engine's fast-path dispatch — and stay bit-identical to no fault.
+  /// are inactive, so they run the exact unfaulted code path and stay
+  /// bit-identical to no fault.
   [[nodiscard]] bool active() const;
 
   /// Registry key, round-trippable through parse_fault: the kind token
@@ -100,9 +100,10 @@ struct FaultPlan {
   friend bool operator==(const FaultPlan& a, const FaultPlan& b) = default;
 };
 
-/// Per-run fault state the simulator's scalar loop consults: the crash
-/// schedule and wake delays are precomputed at reset, the channel dice are
-/// pure functions of (seed, round, node) — evaluation order never matters.
+/// Per-run fault state both simulator loops consult: the crash schedule and
+/// wake delays are precomputed at reset, the channel dice are pure functions
+/// of (seed, round, node) — evaluation order never matters, so the bitset
+/// loop's out-of-id-order channel resolution rolls the reference's dice.
 class FaultContext {
  public:
   /// Sentinel for "this node never crashes".

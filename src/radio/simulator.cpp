@@ -50,6 +50,62 @@ void finish_energy_stats(RunResult& result) {
   }
 }
 
+/// What a listener perceives as noise: (∗) with collision detection;
+/// without it, noise is indistinguishable from silence.
+HistoryEntry noise(ChannelModel model) {
+  return model == ChannelModel::CollisionDetection ? HistoryEntry::collision()
+                                                   : HistoryEntry::silence();
+}
+
+/// Binds `fault` to one run.  An active plan's crash schedule and staggered
+/// wakeup tags are precomputed here (the obs fault-inject phase); the
+/// per-round channel dice are pure functions of (seed, round, node) rolled
+/// inline.  Returns whether wakeups are staggered, in which case
+/// `effective_tag` holds every node's delayed tag.
+bool bind_fault(const fault::FaultPlan& plan, const config::Configuration& configuration,
+                fault::FaultContext& fault, std::vector<config::Round>& effective_tag) {
+  const graph::NodeId n = configuration.graph().node_count();
+  if (!plan.active()) {
+    fault.reset(plan, n);
+    return false;
+  }
+  const obs::PhaseTimer span(obs::Phase::FaultInject);
+  fault.reset(plan, n);
+  effective_tag.clear();
+  if (fault.max_wake_delay() == 0) {
+    return false;
+  }
+  effective_tag.resize(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const std::uint64_t staggered =
+        static_cast<std::uint64_t>(configuration.tag(v)) + fault.wake_delay(v);
+    effective_tag[v] = static_cast<config::Round>(
+        std::min<std::uint64_t>(staggered, std::numeric_limits<config::Round>::max()));
+  }
+  return true;
+}
+
+/// Channel faults apply per listener on top of the resolved channel: a
+/// clean message may be erased to silence (drop) or garbled to noise
+/// (corrupt) by this listener's die.  Both loops call this at most once per
+/// node per round, so the injected-event counters are exact; silence rolls
+/// no dice, so the bitset loop's skipped silent rounds inject nothing.
+HistoryEntry perceive(HistoryEntry entry, const fault::FaultContext& fault, config::Round round,
+                      graph::NodeId v, ChannelModel model, RunStats& stats) {
+  if (!fault.active() || !entry.is_message()) {
+    return entry;
+  }
+  if (fault.drop_message(round, v)) {
+    ++stats.injected_drops;
+    return HistoryEntry::silence();
+  }
+  if (fault.corrupt_message(round, v)) {
+    ++stats.injected_corruptions;
+    return noise(model);  // a garbled message sounds like a collision
+  }
+  return entry;
+}
+
 }  // namespace
 
 std::vector<graph::NodeId> RunResult::leaders() const {
@@ -74,15 +130,7 @@ RunResult Simulator::run() const {
 }
 
 RunResult Simulator::run(SimulatorScratch& scratch) const {
-  // Tracing and fault injection are scalar-path features: the fast path
-  // reorders per-node work within a round (unobservable in the results, but
-  // not in a per-action trace) and bulk-skips provably silent rounds (which
-  // per-round channel dice would falsify), so either forces the reference
-  // loop.  An inactive FaultPlan — `none` or an inert parameterization like
-  // drop:0 — does not, keeping faultless runs bit-identical and fast.
-  const bool bitset_ok = options_.trace == nullptr && !options_.fault.active();
-  return options_.engine == SimulatorEngine::Bitset && bitset_ok ? run_bitset(scratch)
-                                                                 : run_scalar(scratch);
+  return options_.engine == SimulatorEngine::Scalar ? run_scalar(scratch) : run_bitset(scratch);
 }
 
 RunResult Simulator::run_scalar(SimulatorScratch& scratch) const {
@@ -109,28 +157,10 @@ RunResult Simulator::run_scalar(SimulatorScratch& scratch) const {
     ARL_ENSURES(nodes[v].program != nullptr, "drip must produce a program");
   }
 
-  // Fault state: the crash schedule and staggered wakeup tags are
-  // precomputed here (the obs fault-inject phase); the per-round channel
-  // dice are pure functions of (seed, round, node) rolled inline.
   fault::FaultContext& fault = scratch.fault_;
-  if (options_.fault.active()) {
-    const obs::PhaseTimer span(obs::Phase::FaultInject);
-    fault.reset(options_.fault, n);
-    scratch.effective_tag_.clear();
-    if (fault.max_wake_delay() > 0) {
-      scratch.effective_tag_.resize(n);
-      for (graph::NodeId v = 0; v < n; ++v) {
-        const std::uint64_t staggered =
-            static_cast<std::uint64_t>(configuration_.tag(v)) + fault.wake_delay(v);
-        scratch.effective_tag_[v] = static_cast<config::Round>(
-            std::min<std::uint64_t>(staggered, std::numeric_limits<config::Round>::max()));
-      }
-    }
-  } else {
-    fault.reset(options_.fault, n);
-  }
+  const bool staggered_wake =
+      bind_fault(options_.fault, configuration_, fault, scratch.effective_tag_);
   const bool fault_on = fault.active();
-  const bool staggered_wake = fault_on && fault.max_wake_delay() > 0;
   auto wake_tag = [&](graph::NodeId v) -> config::Round {
     return staggered_wake ? scratch.effective_tag_[v] : configuration_.tag(v);
   };
@@ -244,32 +274,10 @@ RunResult Simulator::run_scalar(SimulatorScratch& scratch) const {
       if (transmitter_count[v] == 1) {
         return HistoryEntry::message(pending_message[v]);
       }
-      // Without collision detection, noise is indistinguishable from silence.
-      return options_.channel_model == ChannelModel::CollisionDetection
-                 ? HistoryEntry::collision()
-                 : HistoryEntry::silence();
+      return noise(options_.channel_model);
     };
-    // Channel faults apply per listener on top of the resolved channel: a
-    // clean message may be erased to silence (drop) or garbled to noise
-    // (corrupt) by this listener's die.  Called at most once per node per
-    // round, so the injected-event counters are exact.
     auto perceived_at = [&](graph::NodeId v) -> HistoryEntry {
-      const HistoryEntry entry = channel_at(v);
-      if (fault_on && entry.is_message()) {
-        if (fault.drop_message(round, v)) {
-          ++result.stats.injected_drops;
-          return HistoryEntry::silence();
-        }
-        if (fault.corrupt_message(round, v)) {
-          ++result.stats.injected_corruptions;
-          // A garbled message sounds like a collision — which, without
-          // collision detection, is indistinguishable from silence.
-          return options_.channel_model == ChannelModel::CollisionDetection
-                     ? HistoryEntry::collision()
-                     : HistoryEntry::silence();
-        }
-      }
-      return entry;
+      return perceive(channel_at(v), fault, round, v, options_.channel_model, result.stats);
     };
 
     // 4. Record histories and process wakeups.
@@ -424,12 +432,32 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
   s.woke_list_.clear();
   s.transmitters_.clear();
 
+  fault::FaultContext& fault = s.fault_;
+  const bool staggered_wake = bind_fault(options_.fault, configuration_, fault, s.effective_tag_);
   s.wake_events_.clear();
   s.wake_events_.reserve(n);
   for (graph::NodeId v = 0; v < n; ++v) {
-    s.wake_events_.emplace_back(configuration_.tag(v), v);
+    s.wake_events_.emplace_back(staggered_wake ? s.effective_tag_[v] : configuration_.tag(v), v);
   }
   std::sort(s.wake_events_.begin(), s.wake_events_.end());
+
+  // Crash-stops as a cursor over the precomputed schedule: the first crash
+  // round >= `from`, or kNeverCrashes.  Rescanned once per crash round (at
+  // most k of them), so the loop itself pays one comparison per round.
+  auto next_crash_from = [&](std::uint64_t from) {
+    std::uint64_t next = fault::FaultContext::kNeverCrashes;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (fault.crash_round(v) >= from) {
+        next = std::min(next, fault.crash_round(v));
+      }
+    }
+    return next;
+  };
+  std::uint64_t next_crash = next_crash_from(0);
+
+  // A trace sink observes every round in the reference loop's order, so a
+  // traced run steps each round: no bulk skip, no all-asleep jump.
+  TraceSink* trace = options_.trace;
 
   RunResult result;
   result.nodes.resize(n);
@@ -447,7 +475,6 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
   // What node v hears this round: popcount of its row against the
   // transmitter bitset, early-exiting at two (two transmitters sound the
   // same as twenty).
-  const bool cd = options_.channel_model == ChannelModel::CollisionDetection;
   auto channel_at = [&](graph::NodeId v) -> HistoryEntry {
     const std::uint64_t* row = s.adjacency_.row(v);
     std::uint32_t count = 0;
@@ -459,9 +486,7 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
       }
       count += static_cast<std::uint32_t>(std::popcount(hit));
       if (count > 1) {
-        // Without collision detection, noise is indistinguishable from
-        // silence.
-        return cd ? HistoryEntry::collision() : HistoryEntry::silence();
+        return noise(options_.channel_model);
       }
       single = static_cast<graph::NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(hit)));
     }
@@ -475,10 +500,37 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
   std::size_t next_wake = 0;
   const config::Round horizon = options_.max_rounds;
   config::Round round = 0;
+  auto perceived_at = [&](graph::NodeId v) -> HistoryEntry {
+    return perceive(channel_at(v), fault, round, v, options_.channel_model, result.stats);
+  };
 
   while (round < horizon && live > 0) {
-    // 1. Spontaneous wakeups: tag == round.  (A node force-woken — or even
-    //    terminated — before its tag keeps its earlier state.)
+    if (trace != nullptr) {
+      trace->on_round_begin(round);
+    }
+
+    // 0. Injected crash-stops, before any action this round (as in the
+    //    scalar loop): the node halts for good without terminating.
+    if (round == next_crash) {
+      for (graph::NodeId v = 0; v < n; ++v) {
+        if (fault.crash_round(v) != round || bitset_test(s.terminated_bits_, v)) {
+          continue;
+        }
+        if (bitset_test(s.awake_bits_, v)) {
+          bitset_clear(s.awake_bits_, v);
+          std::erase(s.awake_list_, v);
+        }
+        bitset_set(s.terminated_bits_, v);
+        result.nodes[v].crashed = true;
+        ++result.stats.injected_crashes;
+        --live;
+      }
+      next_crash = next_crash_from(std::uint64_t{round} + 1);
+    }
+
+    // 1. Spontaneous wakeups: (possibly staggered) tag == round.  (A node
+    //    force-woken — or even terminated — before its tag keeps its
+    //    earlier state.)
     s.woke_list_.clear();
     while (next_wake < s.wake_events_.size() && s.wake_events_[next_wake].first == round) {
       const graph::NodeId v = s.wake_events_[next_wake].second;
@@ -490,27 +542,39 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
         s.woke_now_[v] = 1;
         s.awake_list_.push_back(v);
         s.woke_list_.push_back(v);
+        if (staggered_wake && s.effective_tag_[v] != configuration_.tag(v)) {
+          ++result.stats.delayed_wakeups;
+        }
       }
     }
 
-    if (s.awake_list_.empty()) {
+    if (s.awake_list_.empty() && trace == nullptr) {
       // All live nodes are still asleep: nothing observable happens before
-      // the next wakeup tag.
+      // the next wakeup tag or crash.  A round whose crashes stopped the
+      // last live node still counts, as in the scalar loop.
+      if (live == 0) {
+        ++round;
+        continue;
+      }
       ARL_ASSERT(next_wake < s.wake_events_.size(), "live sleepers must have pending tags");
-      round = std::min(horizon, s.wake_events_[next_wake].first);
+      std::uint64_t next = std::min<std::uint64_t>(horizon, next_crash);
+      next = std::min<std::uint64_t>(next, s.wake_events_[next_wake].first);
+      round = static_cast<config::Round>(next);
       continue;
     }
 
     // 2. Bulk-skip provably silent rounds.  If every awake node promises via
     //    listen_streak() to Listen for the next k rounds (given silence) and
-    //    no wakeup tag falls inside them, those rounds have no transmitter —
-    //    hence no message, no forced wakeup, and silence at every listener —
-    //    so they can be recorded wholesale without calling decide().
-    if (s.woke_list_.empty()) {
+    //    no wakeup tag or crash falls inside them, those rounds have no
+    //    transmitter — hence no message, no dice, no forced wakeup, and
+    //    silence at every listener — so they can be recorded wholesale
+    //    without calling decide().
+    if (s.woke_list_.empty() && trace == nullptr) {
       config::Round limit = horizon - round;
       if (next_wake < s.wake_events_.size()) {
         limit = std::min(limit, s.wake_events_[next_wake].first - round);
       }
+      limit = static_cast<config::Round>(std::min<std::uint64_t>(limit, next_crash - round));
       config::Round streak = limit;
       for (const graph::NodeId v : s.awake_list_) {
         const config::Round local = round - s.wake_round_[v];
@@ -565,6 +629,9 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
       const Action action = s.programs_[v]->decide(local, view);
       ++result.stats.node_rounds;
       ++result.nodes[v].awake_rounds;
+      if (trace != nullptr) {
+        trace->on_action(v, round, local, action);
+      }
       switch (action.kind) {
         case Action::Kind::Listen:
           break;
@@ -610,7 +677,7 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
         HistoryEntry entry = HistoryEntry::silence();
         if (s.woke_now_[v] != 0) {
           // H[0] of a spontaneous wakeup, subject to the wake policy.
-          const HistoryEntry channel = channel_at(v);
+          const HistoryEntry channel = perceived_at(v);
           if (channel.is_message()) {
             s.forced_[v] = 1;
             entry = channel;
@@ -623,7 +690,7 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
         } else if (bitset_test(s.transmit_bits_, v)) {
           entry = HistoryEntry::silence();  // a transmitter hears nothing
         } else {
-          entry = channel_at(v);
+          entry = perceived_at(v);
           if (entry.is_message()) {
             ++result.stats.clean_receptions;
           } else if (entry.is_collision()) {
@@ -648,7 +715,7 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
           const graph::NodeId v =
               static_cast<graph::NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(sleepers)));
           sleepers &= sleepers - 1;
-          const HistoryEntry channel = channel_at(v);
+          const HistoryEntry channel = perceived_at(v);
           if (!channel.is_message()) {
             continue;
           }
@@ -664,6 +731,25 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
           ++result.stats.forced_wakeups;
         }
       }
+    }
+
+    // Trace callbacks for this round's wakes and receptions, by node id as
+    // the scalar loop emits them; each event carries the entry just
+    // recorded.  Sorting also keeps the next round's actions in id order.
+    if (trace != nullptr) {
+      std::sort(s.awake_list_.begin(), s.awake_list_.end());
+      for (const graph::NodeId v : s.awake_list_) {
+        if (bitset_test(s.terminated_bits_, v)) {
+          continue;
+        }
+        const HistoryEntry entry = s.histories_[v].back();
+        if (s.woke_now_[v] != 0) {
+          trace->on_wake(v, round, s.forced_[v] != 0, entry);
+        } else {
+          trace->on_reception(v, round, entry);
+        }
+      }
+      trace->on_round_end(round);
     }
 
     // 5. End of round: clear the woke flags and drop terminated nodes.

@@ -48,14 +48,14 @@ enum class WakePolicy : std::uint8_t {
 };
 
 /// Which inner loop run() executes.  Both produce bit-identical results
-/// (same RunResult including RunStats and histories); the bitset path is the
-/// word-parallel fast path every production caller runs, the scalar path is
-/// the reference loop the differential tests compare it against and the
-/// only one that emits trace callbacks or rolls fault dice.
+/// (same RunResult including RunStats, injected-event counters and
+/// histories) and, under a trace sink, the same callback sequence.  The
+/// bitset loop is the word-parallel path every production run takes,
+/// faulted and traced runs included; the scalar loop is the paper-faithful
+/// reference the differential tests compare it against.
 enum class SimulatorEngine : std::uint8_t {
-  Scalar,  ///< the reference per-node loop
-  Bitset,  ///< word-parallel fast path (falls back to scalar under a trace
-           ///< sink or an active fault plan)
+  Scalar,  ///< the reference per-node loop (tests and E5 only)
+  Bitset,  ///< word-parallel production loop
 };
 
 /// Run-control knobs.
@@ -89,10 +89,10 @@ struct SimulatorOptions {
   SimulatorEngine engine = SimulatorEngine::Bitset;
 
   /// Fault plan (spec + per-job seed; see fault/fault.hpp).  The default
-  /// `none` plan is inactive and leaves every code path — including the
-  /// bitset fast-path dispatch — exactly as without the field.  An active
-  /// plan forces the scalar reference loop, like a trace sink does: the
-  /// fast path's bulk round skipping cannot host per-round channel dice.
+  /// `none` plan is inactive and leaves every code path exactly as without
+  /// the field.  Both loops inject an active plan's events identically; the
+  /// bitset loop's bulk skip of silent rounds stays sound because silence
+  /// rolls no channel dice and the skip stops at the next crash round.
   fault::FaultPlan fault = {};
 
   /// When false, RunResult omits the per-node history vectors (the entries
@@ -101,7 +101,8 @@ struct SimulatorOptions {
   /// outcomes set this to skip the final history copy-out.
   bool keep_histories = true;
 
-  /// Optional execution observer (not owned).
+  /// Optional execution observer (not owned).  A traced run steps every
+  /// round, so the bitset loop forgoes its bulk skip while a sink is set.
   TraceSink* trace = nullptr;
 };
 
@@ -203,7 +204,7 @@ class SimulatorScratch {
   std::vector<graph::NodeId> awake_list_;
   std::vector<graph::NodeId> woke_list_;
   std::vector<std::pair<config::Round, graph::NodeId>> wake_events_;
-  // Fault path: per-run fault state and effective (staggered) wakeup tags.
+  // Both loops: per-run fault state and effective (staggered) wakeup tags.
   fault::FaultContext fault_;
   std::vector<config::Round> effective_tag_;
 };

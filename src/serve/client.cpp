@@ -1,22 +1,16 @@
 #include "serve/client.hpp"
 
+#include <cerrno>
 #include <cstring>
 #include <string_view>
 #include <utility>
 
-#include "serve/server.hpp"  // ARL_SERVE_HAS_UNIX_SOCKETS
-
-#if ARL_SERVE_HAS_UNIX_SOCKETS
-#include <cerrno>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 namespace arl::serve {
-
-#if ARL_SERVE_HAS_UNIX_SOCKETS
 
 Client::Client(const std::string& socket_path, unsigned timeout_seconds) {
   sockaddr_un address{};
@@ -194,20 +188,5 @@ SubmitResult Client::submit(const SweepRequest& sweep) {
     }
   }
 }
-
-#else  // !ARL_SERVE_HAS_UNIX_SOCKETS
-
-Client::Client(const std::string&, unsigned) {
-  throw ClientError("the sweep service requires unix domain sockets, unavailable here");
-}
-Client::~Client() = default;
-void Client::send_all(std::string_view) {}
-std::string Client::next_line() { return {}; }
-Response Client::next_protocol_line() { return {}; }
-Response Client::ping() { return {}; }
-ServerStats Client::stats() { return {}; }
-SubmitResult Client::submit(const SweepRequest&) { return {}; }
-
-#endif  // ARL_SERVE_HAS_UNIX_SOCKETS
 
 }  // namespace arl::serve

@@ -21,7 +21,6 @@
 #include "store/tiered_cache.hpp"
 #include "support/line_io.hpp"
 
-#if ARL_SERVE_HAS_UNIX_SOCKETS
 #include <cerrno>
 #include <fcntl.h>
 #include <poll.h>
@@ -30,11 +29,8 @@
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 namespace arl::serve {
-
-#if ARL_SERVE_HAS_UNIX_SOCKETS
 
 namespace {
 
@@ -698,28 +694,5 @@ store::ArtifactStoreStats SweepServer::store_stats() const {
 ServerStats SweepServer::stats() const { return impl_->stats_snapshot(); }
 
 const ServerOptions& SweepServer::options() const { return impl_->options; }
-
-#else  // !ARL_SERVE_HAS_UNIX_SOCKETS
-
-struct SweepServer::Impl {};
-
-namespace {
-[[noreturn]] void unsupported() {
-  throw ServeError("the sweep service requires unix domain sockets, unavailable on this platform");
-}
-}  // namespace
-
-SweepServer::SweepServer(ServerOptions) { unsupported(); }
-SweepServer::~SweepServer() = default;
-void SweepServer::run() { unsupported(); }
-void SweepServer::request_stop() { unsupported(); }
-int SweepServer::stop_fd() const { unsupported(); }
-ServerCounters SweepServer::counters() const { unsupported(); }
-engine::ScheduleCacheStats SweepServer::cache_stats() const { unsupported(); }
-store::ArtifactStoreStats SweepServer::store_stats() const { unsupported(); }
-ServerStats SweepServer::stats() const { unsupported(); }
-const ServerOptions& SweepServer::options() const { unsupported(); }
-
-#endif  // ARL_SERVE_HAS_UNIX_SOCKETS
 
 }  // namespace arl::serve

@@ -40,18 +40,9 @@
 #include "serve/serve_proto.hpp"
 #include "store/artifact_store.hpp"
 
-/// Unix-domain sockets gate the whole subsystem, like fork gates the CLI's
-/// --workers mode; on other platforms construction throws.
-#if defined(__unix__) || defined(__APPLE__)
-#define ARL_SERVE_HAS_UNIX_SOCKETS 1
-#else
-#define ARL_SERVE_HAS_UNIX_SOCKETS 0
-#endif
-
 namespace arl::serve {
 
-/// Thrown when the service cannot start (bad options, socket errors) or is
-/// unsupported on this platform.
+/// Thrown when the service cannot start (bad options, socket errors).
 class ServeError : public std::runtime_error {
  public:
   explicit ServeError(const std::string& what) : std::runtime_error(what) {}

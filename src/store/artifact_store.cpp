@@ -1,9 +1,9 @@
 #include "store/artifact_store.hpp"
 
+#include <cerrno>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <system_error>
 
 #include "config/fingerprint.hpp"
 #include "config/io.hpp"
@@ -12,16 +12,9 @@
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define ARL_STORE_HAS_POSIX_IO 1
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define ARL_STORE_HAS_POSIX_IO 0
-#include <cstdio>
-#include <filesystem>
-#endif
 
 namespace arl::store {
 
@@ -178,18 +171,12 @@ core::CompiledConfiguration parse_entry(const std::string& text, std::uint64_t k
 }
 
 bool file_exists(const std::string& path) {
-#if ARL_STORE_HAS_POSIX_IO
   struct ::stat info {};
   return ::stat(path.c_str(), &info) == 0;
-#else
-  std::error_code ec;
-  return std::filesystem::exists(path, ec);
-#endif
 }
 
 /// mkdir -p.  Returns false on failure; true when the directory exists.
 bool make_directories(const std::string& path) {
-#if ARL_STORE_HAS_POSIX_IO
   std::string prefix;
   std::size_t start = 0;
   while (start <= path.size()) {
@@ -205,11 +192,6 @@ bool make_directories(const std::string& path) {
   }
   struct ::stat info {};
   return ::stat(path.c_str(), &info) == 0 && S_ISDIR(info.st_mode);
-#else
-  std::error_code ec;
-  std::filesystem::create_directories(path, ec);
-  return std::filesystem::is_directory(path, ec);
-#endif
 }
 
 /// How a finished tmp file becomes the entry.
@@ -229,7 +211,6 @@ enum class WriteResult : std::uint8_t { Saved, Exists, Failed };
 WriteResult write_entry_atomically(const std::string& directory, const std::string& final_path,
                                    const std::string& tmp_path, const std::string& text,
                                    Publish publish) {
-#if ARL_STORE_HAS_POSIX_IO
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return WriteResult::Failed;
@@ -267,27 +248,6 @@ WriteResult write_entry_atomically(const std::string& directory, const std::stri
     (void)::close(dir_fd);
   }
   return WriteResult::Saved;
-#else
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    out << text;
-    if (!out.good()) {
-      std::remove(tmp_path.c_str());
-      return WriteResult::Failed;
-    }
-  }
-  // Without link() the no-overwrite check is best effort.
-  if (publish == Publish::Create && file_exists(final_path)) {
-    std::remove(tmp_path.c_str());
-    return WriteResult::Exists;
-  }
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return WriteResult::Failed;
-  }
-  (void)directory;
-  return WriteResult::Saved;
-#endif
 }
 
 }  // namespace
@@ -378,12 +338,8 @@ void ArtifactStore::save(const config::Configuration& configuration, radio::Chan
     const std::lock_guard<std::mutex> lock(mutex_);
     tmp_id = tmp_counter_++;
   }
-#if ARL_STORE_HAS_POSIX_IO
   const std::string tmp_path =
       path + ".tmp." + std::to_string(::getpid()) + "." + std::to_string(tmp_id);
-#else
-  const std::string tmp_path = path + ".tmp." + std::to_string(tmp_id);
-#endif
 
   const std::string text = compose_entry(key, configuration, model, fast_classifier, compiled);
   const WriteResult result =

@@ -571,6 +571,26 @@ for key in '"job"' '"protocol"' '"config"' '"disposition"' '"simulate_ns"' \
     fail "trace lines should carry $key: $(head -1 "$tmpdir/trace.jsonl")"
 done
 
+# `arl trace` and `arl validate` replay the canonical DRIP with a trace
+# sink attached: the per-round logs must match the committed goldens byte
+# for byte, and the independent validator must accept both executions.
+golden="$(cd "$(dirname "$0")" && pwd)/golden"
+"$cli" trace --verbose "$golden/h2.cfg" > "$tmpdir/trace_h2_verbose.txt" 2>&1 ||
+  fail "trace --verbose on h2.cfg should exit 0"
+cmp -s "$tmpdir/trace_h2_verbose.txt" "$golden/trace_h2_verbose.txt" ||
+  fail "trace --verbose on h2.cfg differs from golden/trace_h2_verbose.txt"
+"$cli" trace "$golden/random12.cfg" > "$tmpdir/trace_random12.txt" 2>&1 ||
+  fail "trace on random12.cfg should exit 0"
+cmp -s "$tmpdir/trace_random12.txt" "$golden/trace_random12.txt" ||
+  fail "trace on random12.cfg differs from golden/trace_random12.txt"
+for config in h2 random12; do
+  out=$("$cli" validate "$golden/$config.cfg" 2>&1)
+  case "$out" in
+    "execution valid"*) ;;
+    *) fail "validate on $config.cfg should print 'execution valid': $out" ;;
+  esac
+done
+
 if [ "$failures" -gt 0 ]; then
   exit 1
 fi

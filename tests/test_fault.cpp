@@ -355,9 +355,9 @@ TEST(FaultBatch, FaultedBatchesAreShardInvariant) {
   EXPECT_EQ(full.jobs, stitched);
 }
 
-TEST(FaultBatch, ActiveFaultsFallBackToTheScalarEngine) {
-  // An active fault forces the reference loop no matter which engine a job
-  // selects, so both selections must agree bit-for-bit.
+TEST(FaultBatch, ActiveFaultsGiveIdenticalResultsOnBothEngines) {
+  // The bitset loop rolls the same channel dice as the scalar reference, so
+  // a faulted batch agrees bit-for-bit whichever loop its jobs select.
   const fault::FaultSpec spec = fault::FaultSpec::corrupt(0.2);
   const engine::BatchReport bitset = run_faulted(spec, 2, radio::SimulatorEngine::Bitset);
   const engine::BatchReport scalar = run_faulted(spec, 2, radio::SimulatorEngine::Scalar);

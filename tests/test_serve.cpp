@@ -24,13 +24,11 @@
 #include "serve/server.hpp"
 #include "store/artifact_store.hpp"
 
-#if ARL_SERVE_HAS_UNIX_SOCKETS
 #include <dirent.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 namespace {
 
@@ -238,8 +236,6 @@ TEST(ServeProto, MalformedResponsesThrow) {
   EXPECT_THROW((void)serve::match_response("arl-serve 2 pong 1 2 3"), serve::ProtoError);
   EXPECT_THROW((void)serve::match_response("arl-serve 1 nonsense"), serve::ProtoError);
 }
-
-#if ARL_SERVE_HAS_UNIX_SOCKETS
 
 // ------------------------------------------------------------- live servers
 
@@ -839,7 +835,5 @@ TEST_F(ServeTest, AStoreOffRequestSkipsTheDiskTierOnly) {
   }
   ::rmdir(store_dir.c_str());
 }
-
-#endif  // ARL_SERVE_HAS_UNIX_SOCKETS
 
 }  // namespace

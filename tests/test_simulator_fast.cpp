@@ -2,13 +2,16 @@
 /// Differential suite for the simulator's word-parallel fast path: the
 /// bitset engine must produce RunResults bit-identical to the scalar
 /// reference loop — same per-node outcomes including full histories, same
-/// RunStats — across channel models, wake policies, history windows,
-/// protocols (with and without listen_streak), scratch reuse, and batches
-/// whose jobs select either loop at several thread counts.
+/// RunStats including the injected-event counters — across channel models,
+/// wake policies, history windows, every fault adversary, protocols (with
+/// and without listen_streak), scratch reuse, and batches whose jobs select
+/// either loop at several thread counts.  Traced runs must emit the same
+/// callback log, argument for argument, on both loops.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "engine/schedule_cache.hpp"
 #include "engine/sweep.hpp"
 #include "engine/workload.hpp"
+#include "fault/fault.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "radio/simulator.hpp"
@@ -47,6 +51,9 @@ void expect_same_run(const radio::RunResult& scalar, const radio::RunResult& bit
     EXPECT_EQ(a.terminated, b.terminated) << node_what;
     EXPECT_EQ(a.done_round, b.done_round) << node_what;
     EXPECT_EQ(a.elected, b.elected) << node_what;
+    EXPECT_EQ(a.crashed, b.crashed) << node_what;
+    EXPECT_EQ(a.awake_rounds, b.awake_rounds) << node_what;
+    EXPECT_EQ(a.transmissions, b.transmissions) << node_what;
     EXPECT_EQ(a.history_dropped, b.history_dropped) << node_what;
     ASSERT_EQ(a.history.size(), b.history.size()) << node_what;
     for (std::size_t t = 0; t < a.history.size(); ++t) {
@@ -82,19 +89,72 @@ std::vector<radio::SimulatorOptions> option_variants(const radio::Drip& drip,
   return variants;
 }
 
+/// The adversaries every option variant is crossed with: the reliable
+/// channel plus one active spec per fault kind, so each injection branch of
+/// the bitset loop (channel dice, crash-stops, staggered wakeups) meets the
+/// reference loop.
+const std::vector<fault::FaultSpec>& differential_faults() {
+  static const std::vector<fault::FaultSpec> faults = {
+      fault::FaultSpec::none(),
+      fault::parse_fault("drop:0.2"),
+      fault::parse_fault("corrupt:0.2"),
+      fault::parse_fault("crash:2"),
+      fault::parse_fault("adversarial-wake:4"),
+  };
+  return faults;
+}
+
 std::string describe(const radio::SimulatorOptions& options) {
   std::string out =
       options.channel_model == radio::ChannelModel::CollisionDetection ? "cd" : "nocd";
   out += options.wake_policy == radio::WakePolicy::HearAll ? "/hearall" : "/silentwake";
   out += options.history_window == std::size_t{0} ? "/full" : "/windowed";
-  return out;
+  return out + "/" + options.fault.spec.name();
 }
 
-/// Runs every variant through both engines (fresh scratches) and asserts
-/// bit-identity.
+/// Injected-event totals over a suite's runs, so a suite can assert that
+/// every injection branch actually fired.
+struct InjectedTotals {
+  std::uint64_t drops = 0;
+  std::uint64_t corruptions = 0;
+  std::uint64_t crashes = 0;
+  std::uint64_t delayed_wakeups = 0;
+
+  void add(const radio::RunStats& stats) {
+    drops += stats.injected_drops;
+    corruptions += stats.injected_corruptions;
+    crashes += stats.injected_crashes;
+    delayed_wakeups += stats.delayed_wakeups;
+  }
+
+  void expect_all_fired() const {
+    EXPECT_GT(drops, 0u);
+    EXPECT_GT(corruptions, 0u);
+    EXPECT_GT(crashes, 0u);
+    EXPECT_GT(delayed_wakeups, 0u);
+  }
+};
+
+/// Every option variant crossed with every differential fault: the
+/// variants `expect_differential` and the trace parity test run.
+std::vector<radio::SimulatorOptions> faulted_variants(const radio::Drip& drip,
+                                                      std::uint64_t coin_seed) {
+  std::vector<radio::SimulatorOptions> variants;
+  for (const fault::FaultSpec& spec : differential_faults()) {
+    for (radio::SimulatorOptions options : option_variants(drip, coin_seed)) {
+      options.fault = {spec, /*seed=*/coin_seed};
+      variants.push_back(options);
+    }
+  }
+  return variants;
+}
+
+/// Runs every faulted variant through both engines (fresh scratches) and
+/// asserts bit-identity; adds the bitset runs' injected events to `totals`.
 void expect_differential(const config::Configuration& configuration, const radio::Drip& drip,
-                         std::uint64_t coin_seed, const std::string& what) {
-  for (radio::SimulatorOptions options : option_variants(drip, coin_seed)) {
+                         std::uint64_t coin_seed, const std::string& what,
+                         InjectedTotals* totals = nullptr) {
+  for (radio::SimulatorOptions options : faulted_variants(drip, coin_seed)) {
     radio::SimulatorScratch scalar_scratch;
     radio::SimulatorScratch bitset_scratch;
     options.engine = radio::SimulatorEngine::Scalar;
@@ -102,6 +162,67 @@ void expect_differential(const config::Configuration& configuration, const radio
     options.engine = radio::SimulatorEngine::Bitset;
     const radio::RunResult bitset = radio::simulate(configuration, drip, options, bitset_scratch);
     expect_same_run(scalar, bitset, what + " [" + describe(options) + "]");
+    if (totals != nullptr) {
+      totals->add(bitset.stats);
+    }
+  }
+}
+
+/// Trace sink that logs all five callbacks with every argument, one line
+/// per event in emission order.
+class CallbackLog final : public radio::TraceSink {
+ public:
+  void on_round_begin(config::Round global_round) override { log("begin", global_round); }
+  void on_wake(graph::NodeId v, config::Round global_round, bool forced,
+               radio::HistoryEntry h0) override {
+    log("wake", v, global_round, forced, h0.to_string());
+  }
+  void on_action(graph::NodeId v, config::Round global_round, config::Round local_round,
+                 const radio::Action& action) override {
+    log("action", v, global_round, local_round, static_cast<int>(action.kind), action.message);
+  }
+  void on_reception(graph::NodeId v, config::Round global_round,
+                    radio::HistoryEntry entry) override {
+    log("reception", v, global_round, entry.to_string());
+  }
+  void on_round_end(config::Round global_round) override { log("end", global_round); }
+
+  [[nodiscard]] const std::vector<std::string>& events() const { return events_; }
+
+ private:
+  template <typename... Fields>
+  void log(const Fields&... fields) {
+    std::ostringstream line;
+    ((line << fields << ' '), ...);
+    events_.push_back(line.str());
+  }
+
+  std::vector<std::string> events_;
+};
+
+/// Runs every faulted variant traced on both engines and asserts identical
+/// callback logs, plus results identical to the untraced bitset run (a
+/// sink observes; it never changes the outcome).
+void expect_trace_parity(const config::Configuration& configuration, const radio::Drip& drip,
+                         std::uint64_t coin_seed, const std::string& what) {
+  for (radio::SimulatorOptions options : faulted_variants(drip, coin_seed)) {
+    const std::string variant = what + " [" + describe(options) + "]";
+    options.engine = radio::SimulatorEngine::Bitset;
+    const radio::RunResult untraced = radio::simulate(configuration, drip, options);
+
+    CallbackLog scalar_log;
+    options.engine = radio::SimulatorEngine::Scalar;
+    options.trace = &scalar_log;
+    const radio::RunResult scalar = radio::simulate(configuration, drip, options);
+
+    CallbackLog bitset_log;
+    options.engine = radio::SimulatorEngine::Bitset;
+    options.trace = &bitset_log;
+    const radio::RunResult bitset = radio::simulate(configuration, drip, options);
+
+    expect_same_run(scalar, bitset, variant);
+    expect_same_run(untraced, bitset, variant + " untraced");
+    ASSERT_EQ(scalar_log.events(), bitset_log.events()) << variant;
   }
 }
 
@@ -164,9 +285,11 @@ TEST(SimulatorFast, RandomConfigurationsFuzz) {
   // the protocol zoo: beacons (collisions + forced wakeups), silence
   // (termination discipline), the coin-flipping randomized baseline (the
   // coin-seed cache), and the canonical DRIP (listen_streak bulk skips).
-  // Each runs under all 8 option variants on both engines.
+  // Each runs under all 8 option variants, each crossed with the reliable
+  // channel and four active adversaries, on both engines.
   constexpr std::size_t kConfigs = 10000;
   support::Rng rng(20260808);
+  InjectedTotals totals;
   for (std::size_t i = 0; i < kConfigs; ++i) {
     const config::Configuration configuration = random_configuration(rng);
     const std::string what = "fuzz #" + std::to_string(i);
@@ -177,31 +300,32 @@ TEST(SimulatorFast, RandomConfigurationsFuzz) {
         // densely on small n).
         const auto drip =
             canonical_for(configuration, radio::ChannelModel::CollisionDetection);
-        expect_differential(configuration, *drip, i, what + " canonical");
+        expect_differential(configuration, *drip, i, what + " canonical", &totals);
         break;
       }
       case 1: {
         const testkit::SilentDrip silent(2 + i % 5);
-        expect_differential(configuration, silent, i, what + " silent");
+        expect_differential(configuration, silent, i, what + " silent", &totals);
         break;
       }
       case 2:
       case 3: {
         const baselines::RandomizedElection randomized(/*max_slots=*/64);
-        expect_differential(configuration, randomized, i, what + " randomized");
+        expect_differential(configuration, randomized, i, what + " randomized", &totals);
         break;
       }
       default: {
         const testkit::BeaconDrip beacon(1 + i % 4, /*payload=*/1 + i % 3,
                                          /*lifetime=*/5 + i % 7);
-        expect_differential(configuration, beacon, i, what + " beacon");
+        expect_differential(configuration, beacon, i, what + " beacon", &totals);
         break;
       }
     }
   }
+  totals.expect_all_fired();
 }
 
-// ------------------------------------------------------- horizon + fallback
+// ----------------------------------------------------------------- horizon
 
 TEST(SimulatorFast, HorizonGuardParity) {
   // The immortal drip never terminates: both engines must abort at the
@@ -223,25 +347,38 @@ TEST(SimulatorFast, HorizonGuardParity) {
   }
 }
 
-TEST(SimulatorFast, TraceForcesScalarFallback) {
-  // A trace sink pins the run to the scalar loop even under Bitset/Auto; the
-  // recorded transmissions must match a plain scalar run.
-  const config::Configuration configuration = config::staggered_path(4);
-  const testkit::BeaconDrip beacon(1, 9, 5);
+// ------------------------------------------------------------ trace parity
 
-  testkit::TransmissionLog scalar_log;
-  radio::SimulatorOptions options;
-  options.engine = radio::SimulatorEngine::Scalar;
-  options.trace = &scalar_log;
-  const radio::RunResult scalar = radio::simulate(configuration, beacon, options);
-
-  testkit::TransmissionLog bitset_log;
-  options.engine = radio::SimulatorEngine::Bitset;
-  options.trace = &bitset_log;
-  const radio::RunResult bitset = radio::simulate(configuration, beacon, options);
-
-  expect_same_run(scalar, bitset, "trace fallback");
-  EXPECT_EQ(scalar_log.entries(), bitset_log.entries());
+TEST(SimulatorFast, TracedRunsEmitIdenticalCallbackLogs) {
+  // A trace sink makes the bitset loop step every round (no bulk skip, no
+  // all-asleep jump) and emit callbacks in the reference order: round
+  // begin, actions by node id, wakes and receptions by node id, round end.
+  // The full logs must match under every option variant and adversary, for
+  // beacons (collisions, forced wakeups), the randomized baseline and the
+  // canonical DRIP (the protocol `arl trace` replays).
+  support::Rng rng(20261017);
+  for (std::size_t i = 0; i < 120; ++i) {
+    const config::Configuration configuration = random_configuration(rng);
+    const std::string what = "traced #" + std::to_string(i);
+    switch (i % 4) {
+      case 0: {
+        const auto drip = canonical_for(configuration, radio::ChannelModel::CollisionDetection);
+        expect_trace_parity(configuration, *drip, i, what + " canonical");
+        break;
+      }
+      case 1: {
+        const baselines::RandomizedElection randomized(/*max_slots=*/64);
+        expect_trace_parity(configuration, randomized, i, what + " randomized");
+        break;
+      }
+      default: {
+        const testkit::BeaconDrip beacon(1 + i % 4, /*payload=*/1 + i % 3,
+                                         /*lifetime=*/5 + i % 7);
+        expect_trace_parity(configuration, beacon, i, what + " beacon");
+        break;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ scratch reuse

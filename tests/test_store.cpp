@@ -31,11 +31,9 @@
 #include "store/tiered_cache.hpp"
 #include "support/assert.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
 #include <stdlib.h>
 #include <unistd.h>
-#endif
 
 namespace {
 
@@ -103,8 +101,6 @@ TEST(ClassificationIo, FingerprintSeparatesVerdictAndModel) {
 }
 
 // ------------------------------------------------------------- store fixture
-
-#if defined(__unix__) || defined(__APPLE__)
 
 /// A private temp directory for one test's store, removed on teardown.
 class StoreTest : public ::testing::Test {
@@ -567,7 +563,5 @@ TEST_F(StoreTest, CorruptedStoreStillYieldsBitIdenticalResults) {
   EXPECT_GT(healed.artifact_store->hits, 0u);
   EXPECT_EQ(healed.jobs, reference.jobs);
 }
-
-#endif  // defined(__unix__) || defined(__APPLE__)
 
 }  // namespace

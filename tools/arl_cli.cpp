@@ -42,14 +42,9 @@
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define ARL_CLI_HAS_FORK 1
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define ARL_CLI_HAS_FORK 0
-#endif
 
 #include "config/families.hpp"
 #include "config/io.hpp"
@@ -253,8 +248,6 @@ config::Configuration read_configuration(const support::Args& args, std::size_t 
   return config::from_text(std::cin);
 }
 
-#if ARL_CLI_HAS_FORK
-
 // ---- interrupt handling -----------------------------------------------
 //
 // Three commands own cleanup obligations a Ctrl-C must not skip: `sweep
@@ -316,8 +309,6 @@ class ScopedSignalHandlers {
   struct sigaction old_int_ {};
   struct sigaction old_term_ {};
 };
-
-#endif  // ARL_CLI_HAS_FORK
 
 radio::ChannelModel parse_model(const support::Args& args) {
   const std::string model = args.get_string("model", "cd");
@@ -745,9 +736,8 @@ void write_metrics_json(const engine::BatchReport& report, const std::string& pa
 }
 
 /// Runs one shard range of the sweep and writes its report to `out` — the
-/// one shard-emission path, shared by `--shard`, the forked `--workers`
-/// children and the no-fork fallback.  Returns true when every job in the
-/// shard verified.
+/// one shard-emission path, shared by `--shard` and the forked `--workers`
+/// children.  Returns true when every job in the shard verified.
 bool emit_shard(const engine::CountedSweep& sweep, const dist::SweepKey& key,
                 const dist::JobRange& range, const engine::BatchOptions& batch_options,
                 std::ostream& out) {
@@ -776,7 +766,6 @@ int run_shard_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& key
     }
     return all_valid ? 0 : 1;
   }
-#if ARL_CLI_HAS_FORK
   // Write-then-rename, with a SIGINT/SIGTERM handler that unlinks the temp
   // file: the final name only ever appears via rename of a complete,
   // flushed report, so an interrupted run leaves *nothing* — never a
@@ -811,19 +800,6 @@ int run_shard_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& key
   }
   g_shard_tmp_path[0] = '\0';
   return all_valid ? 0 : 1;
-#else
-  std::ofstream file(out_path);
-  if (!file) {
-    throw support::ContractViolation("cannot open " + out_path + " for writing");
-  }
-  const bool all_valid = emit_shard(sweep, key, range, batch_options, file);
-  file.flush();
-  if (!file) {
-    // Environment failure (disk full, I/O error), not misuse: exits 1.
-    throw std::runtime_error("writing " + out_path + " failed");
-  }
-  return all_valid ? 0 : 1;
-#endif
 }
 
 /// The zero-infrastructure distributed driver: split the sweep into
@@ -832,14 +808,11 @@ int run_shard_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& key
 /// pipeline a multi-host run performs, on one machine.
 int run_workers_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& key,
                       const engine::BatchOptions& batch_options, std::uint32_t workers) {
-#if ARL_CLI_HAS_FORK
   // With the default --threads=0 every forked worker would size its pool
   // to the full hardware concurrency, oversubscribing the machine K-fold;
   // split the cores across the workers instead, remainder included, so no
   // core idles.  An explicit --threads is taken as a deliberate per-worker
-  // choice and honoured as given.  (The no-fork fallback below runs the
-  // shards sequentially, so it keeps the flag untouched and lets each
-  // shard use the whole machine.)
+  // choice and honoured as given.
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   const auto worker_threads = [&](std::uint32_t w) {
     if (batch_options.threads != 0) {
@@ -999,20 +972,6 @@ int run_workers_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& k
   const engine::BatchReport report = dist::complete_report(dist::merge_shards(shards));
   print_report(report);
   return report.valid_count == report.jobs.size() ? 0 : 1;
-#else
-  // No fork() on this platform: run the same shard/merge pipeline
-  // sequentially in-process — wire format included — so --workers stays
-  // meaningful (and equally exercised) everywhere.
-  std::vector<dist::ShardReport> shards;
-  for (const dist::JobRange& range : dist::shard_ranges(sweep.count, workers)) {
-    std::stringstream wire;
-    (void)emit_shard(sweep, key, range, batch_options, wire);
-    shards.push_back(dist::read_shard_report(wire));
-  }
-  const engine::BatchReport report = dist::complete_report(dist::merge_shards(shards));
-  print_report(report);
-  return report.valid_count == report.jobs.size() ? 0 : 1;
-#endif
 }
 
 int cmd_sweep(const support::Args& args) {
@@ -1291,10 +1250,8 @@ int cmd_serve(const support::Args& args) {
   options.queue_limit = static_cast<std::size_t>(queue_flag);
 
   serve::SweepServer server(std::move(options));
-#if ARL_CLI_HAS_FORK
   g_serve_stop_fd = server.stop_fd();
   const ScopedSignalHandlers guard(serve_interrupt);
-#endif
   std::cerr << "arl serve: listening on " << socket_path << " (queue " << queue_flag
             << ", cache " << server.options().cache_capacity << " entries";
   if (!server.options().store_directory.empty()) {
@@ -1302,9 +1259,7 @@ int cmd_serve(const support::Args& args) {
   }
   std::cerr << ")\n";
   server.run();
-#if ARL_CLI_HAS_FORK
   g_serve_stop_fd = -1;
-#endif
   // The drain summary is the same ServerStats snapshot a `stats` request
   // returns, printed through the same formatter — the daemon's log and
   // `arl stats` can never disagree on a counter.
