@@ -14,7 +14,9 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -23,7 +25,9 @@
 #include "bench_common.hpp"
 #include "config/families.hpp"
 #include "config/mutations.hpp"
+#include "core/canonical_drip.hpp"
 #include "core/election.hpp"
+#include "core/schedule.hpp"
 #include "dist/merge.hpp"
 #include "dist/report_io.hpp"
 #include "dist/shard.hpp"
@@ -254,6 +258,148 @@ void print_e4_table() {
       table);
 }
 
+/// Counts the decide() calls of every program it instantiates (the
+/// CountingRadio idiom of SNIPPETS.md Snippet 3): the protocol work a
+/// simulation asks for, a count that does not move with the machine.
+class CountingDrip final : public radio::Drip {
+ public:
+  CountingDrip(const radio::Drip& inner, std::uint64_t& decide_calls)
+      : inner_(inner), decide_calls_(decide_calls) {}
+
+  [[nodiscard]] std::unique_ptr<radio::NodeProgram> instantiate(
+      const radio::NodeEnv& env) const override {
+    class Program final : public radio::NodeProgram {
+     public:
+      Program(std::unique_ptr<radio::NodeProgram> inner, std::uint64_t& decide_calls)
+          : inner_(std::move(inner)), decide_calls_(decide_calls) {}
+      radio::Action decide(config::Round local_round, const radio::HistoryView& history) override {
+        ++decide_calls_;
+        return inner_->decide(local_round, history);
+      }
+      config::Round listen_streak(config::Round local_round,
+                                  const radio::HistoryView& history) override {
+        return inner_->listen_streak(local_round, history);
+      }
+      [[nodiscard]] bool elected() const override { return inner_->elected(); }
+
+     private:
+      std::unique_ptr<radio::NodeProgram> inner_;
+      std::uint64_t& decide_calls_;
+    };
+    return std::make_unique<Program>(inner_.instantiate(env), decide_calls_);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::optional<std::size_t> history_window() const override {
+    return inner_.history_window();
+  }
+
+ private:
+  const radio::Drip& inner_;
+  std::uint64_t& decide_calls_;
+};
+
+/// E5's sparse rows: the canonical DRIP simulated on the random shapes the
+/// served benchmark and E7 run, where each node transmits once per phase
+/// and listens the rest of the time.  Schedules are compiled up front, so
+/// the rows time simulation alone, best of kReps per loop.  The work
+/// counters are exact-gated; the speedup of the bitset loop over the
+/// scalar reference is tolerance-gated.
+void add_e5_sparse_rows(benchsupport::JsonSnapshot& snapshot) {
+  struct Row {
+    std::string key;
+    std::string workload;
+    engine::JobId count;
+  };
+  const std::vector<Row> rows = {{"sparse_n64", "random:n=64,p=0.1,sigma=64", 24},
+                                 {"sparse_n256", "random:n=256,p=0.03,sigma=200", 4}};
+  constexpr int kReps = 3;
+
+  support::Table table({"workload", "jobs", "node-rounds", "global rounds", "transmissions",
+                        "decide calls (bitset)", "scalar ms", "bitset ms", "speedup"});
+  table.set_precision(3);
+  for (const Row& row : rows) {
+    const engine::CountedSweep sweep = engine::parse_workload(row.workload)
+                                           .instantiate(/*seed=*/1,
+                                                        {core::ProtocolSpec::canonical()},
+                                                        {.count = row.count});
+    std::vector<config::Configuration> configurations;
+    std::vector<std::unique_ptr<core::CanonicalDrip>> drips;
+    std::vector<config::Round> horizons;
+    for (engine::JobId id = 0; id < sweep.count; ++id) {
+      configurations.push_back(sweep.source(id).configuration);
+      const config::Configuration& c = configurations.back();
+      drips.push_back(std::make_unique<core::CanonicalDrip>(core::make_schedule(c)));
+      const config::Tag max_tag = *std::max_element(c.tags().begin(), c.tags().end());
+      horizons.push_back(
+          static_cast<config::Round>(max_tag + drips.back()->schedule().total_rounds() + 2));
+    }
+
+    struct LoopRun {
+      double millis = 0.0;
+      std::uint64_t decide_calls = 0;
+      radio::RunStats stats;
+      std::uint64_t global_rounds = 0;
+    };
+    auto measure = [&](radio::SimulatorEngine simulator) {
+      LoopRun best;
+      for (int rep = 0; rep < kReps; ++rep) {
+        LoopRun run;
+        radio::SimulatorScratch scratch;
+        const support::Stopwatch watch;
+        for (std::size_t i = 0; i < configurations.size(); ++i) {
+          const CountingDrip counted(*drips[i], run.decide_calls);
+          radio::SimulatorOptions options;
+          options.engine = simulator;
+          options.max_rounds = horizons[i];
+          options.keep_histories = false;
+          const radio::RunResult result =
+              radio::simulate(configurations[i], counted, options, scratch);
+          run.global_rounds += result.rounds_executed;
+          run.stats.node_rounds += result.stats.node_rounds;
+          run.stats.transmissions += result.stats.transmissions;
+          run.stats.clean_receptions += result.stats.clean_receptions;
+          run.stats.collisions_heard += result.stats.collisions_heard;
+        }
+        run.millis = watch.millis();
+        if (rep == 0 || run.millis < best.millis) {
+          best = run;
+        }
+      }
+      return best;
+    };
+    const LoopRun scalar = measure(radio::SimulatorEngine::Scalar);
+    const LoopRun bitset = measure(radio::SimulatorEngine::Bitset);
+    const bool identical = scalar.global_rounds == bitset.global_rounds &&
+                           scalar.stats == bitset.stats;
+    const double speedup = scalar.millis / std::max(bitset.millis, 1e-6);
+    table.add_row({row.workload, static_cast<std::int64_t>(sweep.count),
+                   static_cast<std::int64_t>(bitset.stats.node_rounds),
+                   static_cast<std::int64_t>(bitset.global_rounds),
+                   static_cast<std::int64_t>(bitset.stats.transmissions),
+                   static_cast<std::int64_t>(bitset.decide_calls), scalar.millis, bitset.millis,
+                   speedup});
+
+    // Exact-match fields: pure functions of the workload seed, equal on
+    // both loops (`identical`).  decide_calls is the bitset loop's own
+    // work: it falls as the engine skips more, and a rise is a regression.
+    snapshot.add(row.key + "_workload", row.workload);
+    snapshot.add(row.key + "_jobs", static_cast<std::uint64_t>(sweep.count));
+    snapshot.add(row.key + "_identical", identical);
+    snapshot.add(row.key + "_node_rounds", bitset.stats.node_rounds);
+    snapshot.add(row.key + "_global_rounds", bitset.global_rounds);
+    snapshot.add(row.key + "_transmissions", bitset.stats.transmissions);
+    snapshot.add(row.key + "_decide_calls", bitset.decide_calls);
+    // Gated with bench_gate's tolerance; the raw times are informational.
+    snapshot.add(row.key + "_speedup", speedup);
+    snapshot.add(row.key + "_scalar_ms", scalar.millis);
+    snapshot.add(row.key + "_bitset_ms", bitset.millis);
+  }
+  benchsupport::print_table(
+      "E5 sparse rows — canonical DRIP simulation only, scalar reference vs bitset loop "
+      "(schedules precompiled, best of " + std::to_string(kReps) + ")",
+      table);
+}
+
 void print_e5_table() {
   // The engine trajectory: steady-state throughput of the scalar reference
   // loop vs the bitset fast path (the "wavefront" row and snapshot keys) on
@@ -366,6 +512,7 @@ void print_e5_table() {
   snapshot.add("wavefront_steady_jobs_per_s", steady_rate(wavefront));
   snapshot.add("scalar_cold_wall_ms", scalar.cold_millis);
   snapshot.add("wavefront_cold_wall_ms", wavefront.cold_millis);
+  add_e5_sparse_rows(snapshot);
   snapshot.write("BENCH_E5.json");
 }
 

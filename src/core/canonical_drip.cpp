@@ -47,12 +47,15 @@ Label CanonicalProgram::build_observed_label(std::size_t phase_index,
   const std::uint64_t block_len = s.block_length();
   const std::uint64_t blocks_span = phase.num_classes * block_len;
 
+  // Only what the node heard matters: walk the phase's non-silent entries.
+  const std::uint64_t phase_len = s.phase_length(phase_index);
+  const auto heard_from = [&](std::uint64_t offset) {
+    return history.next_event(static_cast<std::size_t>(base_ + offset)) - base_;
+  };
   Label observed;
-  for (std::uint64_t offset = 1; offset <= blocks_span; ++offset) {
+  for (std::uint64_t offset = heard_from(1); offset <= blocks_span;
+       offset = heard_from(offset + 1)) {
     const radio::HistoryEntry entry = history.entry(static_cast<std::size_t>(base_ + offset));
-    if (entry.is_silence()) {
-      continue;
-    }
     const auto block = static_cast<ClassId>((offset - 1) / block_len + 1);
     const auto round = static_cast<std::uint32_t>((offset - 1) % block_len + 1);
     if (entry.is_message()) {
@@ -69,12 +72,8 @@ Label CanonicalProgram::build_observed_label(std::size_t phase_index,
 
   // Lemma 3.7: the σ trailing rounds of a phase are silent in a
   // schedule-conformant execution.
-  const std::uint64_t phase_len = s.phase_length(phase_index);
-  for (std::uint64_t offset = blocks_span + 1; offset <= phase_len; ++offset) {
-    if (!history.entry(static_cast<std::size_t>(base_ + offset)).is_silence()) {
-      fail("noise in the trailing sigma rounds of a phase");
-      return observed;
-    }
+  if (heard_from(blocks_span + 1) <= phase_len) {
+    fail("noise in the trailing sigma rounds of a phase");
   }
   return observed;
 }

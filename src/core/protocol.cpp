@@ -176,6 +176,7 @@ ElectionReport run_canonical(const config::Configuration& configuration,
                            faulted ? MismatchPolicy::Robust : MismatchPolicy::Strict);
   radio::SimulatorOptions simulator_options = options.simulator;
   simulator_options.channel_model = report.schedule->model;
+  simulator_options.keep_histories = false;  // the report keeps only the stats
   const config::Tag max_tag =
       *std::max_element(configuration.tags().begin(), configuration.tags().end());
   const std::uint64_t needed_horizon = max_tag + report.schedule->total_rounds() + 2 +
@@ -263,6 +264,7 @@ ElectionReport run_baseline(const config::Configuration& configuration, const Pr
 
   radio::SimulatorOptions simulator_options = options.simulator;
   simulator_options.channel_model = options.channel_model;
+  simulator_options.keep_histories = false;  // the report keeps only the stats
   if (spec.uses_labels() && simulator_options.labels.empty()) {
     simulator_options.labels = wakeup_order_labels(configuration);
   }

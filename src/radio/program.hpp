@@ -58,19 +58,25 @@ class NodeProgram {
   /// Action for local round `local_round` (>= 1), given the history
   /// H[0..local_round-1].  Called at most once per round, in increasing round
   /// order; rounds covered by a positive listen_streak() may be skipped
-  /// (the program is then treated as having listened through silence).
+  /// (the program is then treated as having listened through them).
   virtual Action decide(config::Round local_round, const HistoryView& history) = 0;
 
-  /// Fast-path hint: a lower bound on how many consecutive local rounds,
-  /// starting at `local_round`, this program is guaranteed to Listen —
-  /// provided every one of those rounds observes silence.  When ALL awake
-  /// programs report a positive streak, the simulator proves the common
-  /// prefix globally silent, records it in bulk, and skips the decide()
-  /// calls.  A program returning k > 0 promises that (a) decide(local_round
-  /// + j) would return Listen for every j < k under all-silent observations,
-  /// and (b) its state after the next decide() call is the same whether or
-  /// not those k calls happened.  The default (0) opts out and keeps the
-  /// call-every-round contract of decide().
+  /// Scheduling hint for the simulator's per-node round calendar: a lower
+  /// bound k on how many consecutive local rounds, starting at
+  /// `local_round`, this program is guaranteed to Listen provided it hears
+  /// silence in them.  The bitset loop then skips decide() for those rounds
+  /// and visits the node next at local_round + k — unless the node hears a
+  /// message or noise first, in which case it is visited in the round right
+  /// after that reception and asked again, with the non-silent entry in its
+  /// history.  Each node is scheduled on its own; other nodes' streaks,
+  /// wakeups and transmissions do not shorten it.  Returning k > 0 promises
+  /// that (a) decide(local_round + j) would return Listen for every j < k
+  /// whenever H[local_round .. local_round+j-1] are all silent, and (b) the
+  /// program answers every later decide() and listen_streak() call the same
+  /// whether or not such skipped calls happened.  listen_streak() itself
+  /// must not change what later calls return.  The default (0) opts out and
+  /// keeps the call-every-round contract of decide().  Traced runs step
+  /// every round and never ask.
   [[nodiscard]] virtual config::Round listen_streak(config::Round local_round,
                                                     const HistoryView& history) {
     (void)local_round;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -38,6 +39,27 @@ void push_entry(NodeState& node, HistoryEntry entry, std::optional<std::size_t> 
                        node.history.begin() + static_cast<std::ptrdiff_t>(evict));
     node.dropped += evict;
   }
+}
+
+/// Index of the oldest entry push_entry's retention keeps after `length`
+/// appends: the history grows to 2W entries and, when an append would make
+/// it 2W+1, is cut back to the newest W.  Without a window, 0.  The bitset
+/// loop derives its sparse histories' retained suffix from this, so its
+/// out-of-window trap fires exactly where the scalar loop's does.
+std::size_t window_first_kept(std::size_t length, std::optional<std::size_t> window) {
+  if (!window || length <= 2 * *window) {
+    return 0;
+  }
+  const std::size_t w = *window;
+  return length - (w + (length - (2 * w + 1)) % (w + 1));
+}
+
+/// "No visit pending" in the bitset loop's round calendar.
+constexpr std::uint64_t kNotDue = std::numeric_limits<std::uint64_t>::max();
+
+/// The node of the lowest set bit of word `word` of a node bitset.
+graph::NodeId lowest_node(std::size_t word, std::uint64_t bits) {
+  return static_cast<graph::NodeId>(word * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
 }
 
 /// Folds the per-node energy counters into the aggregate maxima.
@@ -89,7 +111,7 @@ bool bind_fault(const fault::FaultPlan& plan, const config::Configuration& confi
 /// clean message may be erased to silence (drop) or garbled to noise
 /// (corrupt) by this listener's die.  Both loops call this at most once per
 /// node per round, so the injected-event counters are exact; silence rolls
-/// no dice, so the bitset loop's skipped silent rounds inject nothing.
+/// no dice, so the bitset loop rolls them only where a message arrives.
 HistoryEntry perceive(HistoryEntry entry, const fault::FaultContext& fault, config::Round round,
                       graph::NodeId v, ChannelModel model, RunStats& stats) {
   if (!fault.active() || !entry.is_message()) {
@@ -401,8 +423,8 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
   }
   const std::size_t words = s.adjacency_.words_per_row();
 
-  // Program/history arena: the slot vectors and history capacities persist
-  // across runs; programs themselves are stateful and re-instantiated.
+  // Program/history arena: the slot vectors and event-list capacities
+  // persist across runs; programs themselves are stateful and re-instantiated.
   s.programs_.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     NodeEnv env;
@@ -413,24 +435,29 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
     s.programs_[v] = drip_.instantiate(env);
     ARL_ENSURES(s.programs_[v] != nullptr, "drip must produce a program");
   }
-  if (s.histories_.size() < n) {
-    s.histories_.resize(n);
+  if (s.events_.size() < n) {
+    s.events_.resize(n);
   }
   for (graph::NodeId v = 0; v < n; ++v) {
-    s.histories_[v].clear();
+    s.events_[v].clear();
   }
-  s.dropped_.assign(n, 0);
+  s.length_.assign(n, 0);
   s.wake_round_.assign(n, 0);
   s.outgoing_.assign(n, 0);
   s.forced_.assign(n, 0);
   s.woke_now_.assign(n, 0);
+  s.due_.assign(n, kNotDue);
+  s.heaped_.assign(n, kNotDue);
   s.awake_bits_.assign(words, 0);
   s.terminated_bits_.assign(words, 0);
   s.transmit_bits_.assign(words, 0);
   s.heard_bits_.assign(words, 0);
-  s.awake_list_.clear();
   s.woke_list_.clear();
   s.transmitters_.clear();
+  for (std::vector<graph::NodeId>& bucket : s.near_) {
+    bucket.clear();
+  }
+  s.later_.clear();
 
   fault::FaultContext& fault = s.fault_;
   const bool staggered_wake = bind_fault(options_.fault, configuration_, fault, s.effective_tag_);
@@ -456,19 +483,24 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
   std::uint64_t next_crash = next_crash_from(0);
 
   // A trace sink observes every round in the reference loop's order, so a
-  // traced run steps each round: no bulk skip, no all-asleep jump.
+  // traced run steps each round and every awake node decides in each.
   TraceSink* trace = options_.trace;
 
   RunResult result;
   result.nodes.resize(n);
 
-  auto push_history = [&](graph::NodeId v, HistoryEntry entry) {
-    History& h = s.histories_[v];
-    h.push_back(entry);
-    if (window && h.size() > 2 * *window) {
-      const std::size_t evict = h.size() - *window;
-      h.erase(h.begin(), h.begin() + static_cast<std::ptrdiff_t>(evict));
-      s.dropped_[v] += evict;
+  // Records the non-silent entry H_v[index].  A windowed history sheds the
+  // events its window has evicted once they outnumber it, so memory stays
+  // bounded by the window as well as by what the node heard.
+  auto record = [&](graph::NodeId v, std::size_t index, HistoryEntry entry) {
+    EventHistory& events = s.events_[v];
+    events.push_back({index, entry});
+    if (window && events.size() > 4 * *window) {
+      const std::size_t keep_from = window_first_kept(index + 1, window);
+      events.erase(events.begin(),
+                   std::partition_point(events.begin(), events.end(), [&](const HistoryEvent& e) {
+                     return e.index < keep_from;
+                   }));
     }
   };
 
@@ -488,7 +520,7 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
       if (count > 1) {
         return noise(options_.channel_model);
       }
-      single = static_cast<graph::NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(hit)));
+      single = lowest_node(w, hit);
     }
     if (count == 0) {
       return HistoryEntry::silence();
@@ -498,19 +530,90 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
 
   std::uint32_t live = n;
   std::size_t next_wake = 0;
-  const config::Round horizon = options_.max_rounds;
-  config::Round round = 0;
+  const std::uint64_t horizon = options_.max_rounds;
+  std::uint64_t round = 0;
   auto perceived_at = [&](graph::NodeId v) -> HistoryEntry {
-    return perceive(channel_at(v), fault, round, v, options_.channel_model, result.stats);
+    return perceive(channel_at(v), fault, static_cast<config::Round>(round), v,
+                    options_.channel_model, result.stats);
   };
 
-  while (round < horizon && live > 0) {
+  // The round calendar.  Each awake node has one pending visit, due_[v].
+  // Visits fewer than kNear rounds ahead wait in the ring near_[round %
+  // kNear] (near_mask marks the non-empty buckets); later ones in the
+  // min-heap later_ of (round << 32 | node).  An entry that no longer
+  // matches due_[v] is stale and skipped.  heaped_[v] is the round of v's
+  // newest heap entry while it is still queued, so a node called back by a
+  // reception and handed the same streak end again reuses that entry.
+  // Traced runs keep no calendar: every awake node is visited every round.
+  constexpr std::uint64_t kNear = SimulatorScratch::kNearRounds;
+  std::uint64_t near_mask = 0;
+  auto schedule = [&](graph::NodeId v, std::uint64_t at) {
+    if (trace != nullptr || s.due_[v] == at) {
+      return;
+    }
+    s.due_[v] = at;
+    if (at >= horizon) {
+      return;
+    }
+    if (at - round < kNear) {
+      s.near_[at % kNear].push_back(v);
+      near_mask |= std::uint64_t{1} << (at % kNear);
+    } else if (s.heaped_[v] != at) {
+      s.heaped_[v] = at;
+      s.later_.push_back(at << 32 | v);
+      std::push_heap(s.later_.begin(), s.later_.end(), std::greater<>());
+    }
+  };
+  // Pops the earliest heap entry and returns its node.
+  auto pop_later = [&]() {
+    const std::uint64_t top = s.later_.front();
+    std::pop_heap(s.later_.begin(), s.later_.end(), std::greater<>());
+    s.later_.pop_back();
+    const auto v = static_cast<graph::NodeId>(top & 0xffffffffu);
+    if (s.heaped_[v] == top >> 32) {
+      s.heaped_[v] = kNotDue;
+    }
+    return v;
+  };
+  // The first round >= `from` in which anything happens: a visit, a wakeup
+  // tag or a crash.  Rounds in between are silent for every node and
+  // change nothing but history lengths, which are implied by the round.
+  // (Ring entries all lie in [from, from + kNear): none is ever passed.)
+  auto next_event_round = [&](std::uint64_t from) {
+    std::uint64_t next = std::min(horizon, next_crash);
+    if (next_wake < s.wake_events_.size()) {
+      next = std::min<std::uint64_t>(next, s.wake_events_[next_wake].first);
+    }
+    if (near_mask != 0) {
+      const auto shift = static_cast<int>(from % kNear);
+      next = std::min<std::uint64_t>(next, from + std::countr_zero(std::rotr(near_mask, shift)));
+    }
+    while (!s.later_.empty()) {
+      const std::uint64_t at = s.later_.front() >> 32;
+      if (s.due_[s.later_.front() & 0xffffffffu] == at) {
+        next = std::min(next, at);
+        break;
+      }
+      (void)pop_later();
+    }
+    return next;
+  };
+
+  while (live > 0) {
+    if (trace == nullptr) {
+      round = next_event_round(round);
+    }
+    if (round >= horizon) {
+      round = horizon;
+      break;
+    }
     if (trace != nullptr) {
-      trace->on_round_begin(round);
+      trace->on_round_begin(static_cast<config::Round>(round));
     }
 
     // 0. Injected crash-stops, before any action this round (as in the
-    //    scalar loop): the node halts for good without terminating.
+    //    scalar loop): the node halts for good without terminating, its
+    //    history ending with the previous round.
     if (round == next_crash) {
       for (graph::NodeId v = 0; v < n; ++v) {
         if (fault.crash_round(v) != round || bitset_test(s.terminated_bits_, v)) {
@@ -518,14 +621,14 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
         }
         if (bitset_test(s.awake_bits_, v)) {
           bitset_clear(s.awake_bits_, v);
-          std::erase(s.awake_list_, v);
+          s.length_[v] = round - s.wake_round_[v];
         }
         bitset_set(s.terminated_bits_, v);
         result.nodes[v].crashed = true;
         ++result.stats.injected_crashes;
         --live;
       }
-      next_crash = next_crash_from(std::uint64_t{round} + 1);
+      next_crash = next_crash_from(round + 1);
     }
 
     // 1. Spontaneous wakeups: (possibly staggered) tag == round.  (A node
@@ -537,10 +640,9 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
       ++next_wake;
       if (!bitset_test(s.awake_bits_, v) && !bitset_test(s.terminated_bits_, v)) {
         bitset_set(s.awake_bits_, v);
-        s.wake_round_[v] = round;
+        s.wake_round_[v] = static_cast<config::Round>(round);
         s.forced_[v] = 0;
         s.woke_now_[v] = 1;
-        s.awake_list_.push_back(v);
         s.woke_list_.push_back(v);
         if (staggered_wake && s.effective_tag_[v] != configuration_.tag(v)) {
           ++result.stats.delayed_wakeups;
@@ -548,92 +650,53 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
       }
     }
 
-    if (s.awake_list_.empty() && trace == nullptr) {
-      // All live nodes are still asleep: nothing observable happens before
-      // the next wakeup tag or crash.  A round whose crashes stopped the
-      // last live node still counts, as in the scalar loop.
-      if (live == 0) {
-        ++round;
-        continue;
+    // 2. Visits due this round.  A visit first asks listen_streak(): a
+    //    positive streak moves the node's next visit that many rounds out
+    //    (it listens meanwhile, hearing silence unless a reception below
+    //    calls it back); otherwise the node decides.
+    s.now_.clear();
+    if (trace == nullptr) {
+      const std::uint64_t bucket = round % kNear;
+      if ((near_mask >> bucket & 1) != 0) {
+        std::swap(s.now_, s.near_[bucket]);
+        near_mask &= ~(std::uint64_t{1} << bucket);
       }
-      ARL_ASSERT(next_wake < s.wake_events_.size(), "live sleepers must have pending tags");
-      std::uint64_t next = std::min<std::uint64_t>(horizon, next_crash);
-      next = std::min<std::uint64_t>(next, s.wake_events_[next_wake].first);
-      round = static_cast<config::Round>(next);
-      continue;
-    }
-
-    // 2. Bulk-skip provably silent rounds.  If every awake node promises via
-    //    listen_streak() to Listen for the next k rounds (given silence) and
-    //    no wakeup tag or crash falls inside them, those rounds have no
-    //    transmitter — hence no message, no dice, no forced wakeup, and
-    //    silence at every listener — so they can be recorded wholesale
-    //    without calling decide().
-    if (s.woke_list_.empty() && trace == nullptr) {
-      config::Round limit = horizon - round;
-      if (next_wake < s.wake_events_.size()) {
-        limit = std::min(limit, s.wake_events_[next_wake].first - round);
+      while (!s.later_.empty() && (s.later_.front() >> 32) <= round) {
+        s.now_.push_back(pop_later());
       }
-      limit = static_cast<config::Round>(std::min<std::uint64_t>(limit, next_crash - round));
-      config::Round streak = limit;
-      for (const graph::NodeId v : s.awake_list_) {
-        const config::Round local = round - s.wake_round_[v];
-        const HistoryView view(s.histories_[v], s.dropped_[v]);
-        streak = std::min(streak, s.programs_[v]->listen_streak(local, view));
-        if (streak == 0) {
-          break;
-        }
-      }
-      if (streak > 0) {
-        for (const graph::NodeId v : s.awake_list_) {
-          // Bulk-append `streak` silences in O(window) instead of O(streak):
-          // the final (contents, dropped) pair is exactly what `streak`
-          // individual push_history calls would leave — eviction fires at
-          // size 2W+1 cutting back to W, so the size after the run is s0 +
-          // streak if no eviction fires, else W plus the pushes left over
-          // after the last eviction.  No observation happens mid-run (these
-          // rounds execute no decide() and no channel), so only the final
-          // state matters.
-          History& h = s.histories_[v];
-          const std::size_t s0 = h.size();
-          std::size_t total = s0 + streak;
-          if (window && total > 2 * *window) {
-            const std::size_t wsize = *window;
-            const std::size_t to_first_evict = 2 * wsize + 1 - s0;
-            total = wsize + (streak - to_first_evict) % (wsize + 1);
-            const std::size_t evicted = s0 + streak - total;
-            s.dropped_[v] += evicted;
-            const std::size_t keep_old = s0 > evicted ? s0 - evicted : 0;
-            h.erase(h.begin(), h.begin() + static_cast<std::ptrdiff_t>(s0 - keep_old));
+    } else {
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = s.awake_bits_[w]; bits != 0; bits &= bits - 1) {
+          const graph::NodeId v = lowest_node(w, bits);
+          if (s.woke_now_[v] == 0) {
+            s.now_.push_back(v);
           }
-          h.insert(h.end(), total - h.size(), HistoryEntry::silence());
-          result.nodes[v].awake_rounds += streak;
         }
-        result.stats.node_rounds += static_cast<std::uint64_t>(s.awake_list_.size()) * streak;
-        round += streak;
-        continue;
       }
     }
-
-    // 3. Actions of nodes awake since an earlier round.
-    std::fill(s.transmit_bits_.begin(), s.transmit_bits_.end(), 0);
-    s.transmitters_.clear();
-    bool any_terminated = false;
-    for (const graph::NodeId v : s.awake_list_) {
-      if (s.woke_now_[v] != 0) {
-        continue;
+    for (const graph::NodeId v : s.now_) {
+      if (trace == nullptr) {
+        if (s.due_[v] != round || !bitset_test(s.awake_bits_, v)) {
+          continue;  // stale calendar entry
+        }
+        s.due_[v] = kNotDue;
       }
-      const config::Round local = round - s.wake_round_[v];
-      const HistoryView view(s.histories_[v], s.dropped_[v]);
-      ARL_ASSERT(view.length() == local, "history length must equal the local round");
+      const auto local = static_cast<config::Round>(round - s.wake_round_[v]);
+      const HistoryView view(s.events_[v], local, window_first_kept(local, window));
+      if (trace == nullptr) {
+        const config::Round streak = s.programs_[v]->listen_streak(local, view);
+        if (streak > 0) {
+          schedule(v, round + streak);
+          continue;
+        }
+      }
       const Action action = s.programs_[v]->decide(local, view);
-      ++result.stats.node_rounds;
-      ++result.nodes[v].awake_rounds;
       if (trace != nullptr) {
-        trace->on_action(v, round, local, action);
+        trace->on_action(v, static_cast<config::Round>(round), local, action);
       }
       switch (action.kind) {
         case Action::Kind::Listen:
+          schedule(v, round + 1);
           break;
         case Action::Kind::Transmit:
           bitset_set(s.transmit_bits_, v);
@@ -641,67 +704,25 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
           s.transmitters_.push_back(v);
           ++result.stats.transmissions;
           ++result.nodes[v].transmissions;
+          schedule(v, round + 1);
           break;
         case Action::Kind::Terminate:
           // H[done_v] is recorded as (∅), as in the scalar loop.
           bitset_clear(s.awake_bits_, v);
           bitset_set(s.terminated_bits_, v);
-          push_history(v, HistoryEntry::silence());
+          s.length_[v] = std::size_t{local} + 1;
           result.nodes[v].terminated = true;
           result.nodes[v].done_round = local;
           --live;
-          any_terminated = true;
           break;
       }
     }
 
-    // 4. Channel resolution and history recording.
-    if (s.transmitters_.empty()) {
-      // Globally silent round: every awake node records (∅) under either
-      // wake policy, and no sleeper can be force-woken.
-      for (const graph::NodeId v : s.awake_list_) {
-        if (bitset_test(s.terminated_bits_, v)) {
-          continue;
-        }
-        if (s.woke_now_[v] != 0) {
-          result.nodes[v].wake_round = s.wake_round_[v];
-          result.nodes[v].forced_wake = false;
-        }
-        push_history(v, HistoryEntry::silence());
-      }
-    } else {
-      for (const graph::NodeId v : s.awake_list_) {
-        if (bitset_test(s.terminated_bits_, v)) {
-          continue;
-        }
-        HistoryEntry entry = HistoryEntry::silence();
-        if (s.woke_now_[v] != 0) {
-          // H[0] of a spontaneous wakeup, subject to the wake policy.
-          const HistoryEntry channel = perceived_at(v);
-          if (channel.is_message()) {
-            s.forced_[v] = 1;
-            entry = channel;
-            ++result.stats.forced_wakeups;
-          } else if (options_.wake_policy == WakePolicy::HearAll) {
-            entry = channel;
-          }
-          result.nodes[v].wake_round = s.wake_round_[v];
-          result.nodes[v].forced_wake = s.forced_[v] != 0;
-        } else if (bitset_test(s.transmit_bits_, v)) {
-          entry = HistoryEntry::silence();  // a transmitter hears nothing
-        } else {
-          entry = perceived_at(v);
-          if (entry.is_message()) {
-            ++result.stats.clean_receptions;
-          } else if (entry.is_collision()) {
-            ++result.stats.collisions_heard;
-          }
-        }
-        push_history(v, entry);
-      }
-
-      // Forced wakeups: sleepers inside some transmitter's neighbourhood
-      // that received a clean message (noise does not wake, §2.1).
+    // 3. Channel resolution, only where a transmitter is in range: every
+    //    other node hears silence, which changes nothing but its length.
+    //    Receivers of a message or noise are visited next round, where
+    //    listen_streak() sees what they heard.
+    if (!s.transmitters_.empty()) {
       std::fill(s.heard_bits_.begin(), s.heard_bits_.end(), 0);
       for (const graph::NodeId t : s.transmitters_) {
         const std::uint64_t* row = s.adjacency_.row(t);
@@ -710,73 +731,112 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
         }
       }
       for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t sleepers = s.heard_bits_[w] & ~s.awake_bits_[w] & ~s.terminated_bits_[w];
-        while (sleepers != 0) {
-          const graph::NodeId v =
-              static_cast<graph::NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(sleepers)));
-          sleepers &= sleepers - 1;
-          const HistoryEntry channel = perceived_at(v);
-          if (!channel.is_message()) {
-            continue;
+        for (std::uint64_t bits = s.heard_bits_[w] & ~s.terminated_bits_[w]; bits != 0;
+             bits &= bits - 1) {
+          const graph::NodeId v = lowest_node(w, bits);
+          if (!bitset_test(s.awake_bits_, v)) {
+            // Forced wakeup: a clean message wakes a sleeper; noise does
+            // not (§2.1).
+            const HistoryEntry channel = perceived_at(v);
+            if (!channel.is_message()) {
+              continue;
+            }
+            bitset_set(s.awake_bits_, v);
+            s.wake_round_[v] = static_cast<config::Round>(round);
+            s.forced_[v] = 1;
+            s.woke_now_[v] = 1;
+            s.woke_list_.push_back(v);
+            record(v, 0, channel);
+            ++result.stats.forced_wakeups;
+          } else if (s.woke_now_[v] != 0) {
+            // H[0] of a spontaneous wakeup, subject to the wake policy.
+            const HistoryEntry channel = perceived_at(v);
+            if (channel.is_message()) {
+              s.forced_[v] = 1;
+              ++result.stats.forced_wakeups;
+              record(v, 0, channel);
+            } else if (options_.wake_policy == WakePolicy::HearAll && !channel.is_silence()) {
+              record(v, 0, channel);
+            }
+          } else if (!bitset_test(s.transmit_bits_, v)) {  // a transmitter hears nothing
+            const HistoryEntry entry = perceived_at(v);
+            if (entry.is_silence()) {
+              continue;
+            }
+            if (entry.is_message()) {
+              ++result.stats.clean_receptions;
+            } else {
+              ++result.stats.collisions_heard;
+            }
+            record(v, round - s.wake_round_[v], entry);
+            schedule(v, round + 1);
           }
-          bitset_set(s.awake_bits_, v);
-          s.wake_round_[v] = round;
-          s.forced_[v] = 1;
-          s.woke_now_[v] = 1;
-          s.awake_list_.push_back(v);
-          s.woke_list_.push_back(v);
-          push_history(v, channel);
-          result.nodes[v].wake_round = round;
-          result.nodes[v].forced_wake = true;
-          ++result.stats.forced_wakeups;
         }
       }
+    }
+    for (const graph::NodeId v : s.woke_list_) {
+      schedule(v, round + 1);
     }
 
     // Trace callbacks for this round's wakes and receptions, by node id as
     // the scalar loop emits them; each event carries the entry just
-    // recorded.  Sorting also keeps the next round's actions in id order.
+    // recorded.
     if (trace != nullptr) {
-      std::sort(s.awake_list_.begin(), s.awake_list_.end());
-      for (const graph::NodeId v : s.awake_list_) {
-        if (bitset_test(s.terminated_bits_, v)) {
-          continue;
-        }
-        const HistoryEntry entry = s.histories_[v].back();
-        if (s.woke_now_[v] != 0) {
-          trace->on_wake(v, round, s.forced_[v] != 0, entry);
-        } else {
-          trace->on_reception(v, round, entry);
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = s.awake_bits_[w]; bits != 0; bits &= bits - 1) {
+          const graph::NodeId v = lowest_node(w, bits);
+          const std::size_t index = round - s.wake_round_[v];
+          const HistoryEntry entry = HistoryView(s.events_[v], index + 1, index).last();
+          if (s.woke_now_[v] != 0) {
+            trace->on_wake(v, static_cast<config::Round>(round), s.forced_[v] != 0, entry);
+          } else {
+            trace->on_reception(v, static_cast<config::Round>(round), entry);
+          }
         }
       }
-      trace->on_round_end(round);
+      trace->on_round_end(static_cast<config::Round>(round));
     }
 
-    // 5. End of round: clear the woke flags and drop terminated nodes.
+    // 4. End of round: clear the woke flags and the transmitter set.
     for (const graph::NodeId v : s.woke_list_) {
       s.woke_now_[v] = 0;
     }
-    if (any_terminated) {
-      std::erase_if(s.awake_list_,
-                    [&](graph::NodeId v) { return bitset_test(s.terminated_bits_, v); });
+    for (const graph::NodeId t : s.transmitters_) {
+      bitset_clear(s.transmit_bits_, t);
     }
+    s.transmitters_.clear();
     ++round;
   }
 
-  result.rounds_executed = round;
+  // Copy-out.  A node's history length fixes everything the sparse form
+  // leaves implicit: one decide() per entry after H[0], and a dense suffix
+  // rebuilt from the events (only when the caller keeps histories).
+  result.rounds_executed = static_cast<config::Round>(round);
   result.all_terminated = (live == 0);
   for (graph::NodeId v = 0; v < n; ++v) {
-    if (options_.keep_histories) {
-      result.nodes[v].history = std::move(s.histories_[v]);
-      s.histories_[v].clear();
-      result.nodes[v].history_dropped = s.dropped_[v];
-    } else {
-      result.nodes[v].history_dropped = s.dropped_[v] + s.histories_[v].size();
+    NodeOutcome& node = result.nodes[v];
+    if (bitset_test(s.awake_bits_, v)) {
+      s.length_[v] = round - s.wake_round_[v];
     }
-    result.nodes[v].elected = s.programs_[v]->elected();
+    const std::size_t length = s.length_[v];
+    node.awake_rounds = length > 0 ? length - 1 : 0;
+    result.stats.node_rounds += node.awake_rounds;
+    if (options_.keep_histories) {
+      const std::size_t first = window_first_kept(length, window);
+      node.history.assign(length - first, HistoryEntry::silence());
+      for (const HistoryEvent& event : s.events_[v]) {
+        if (event.index >= first) {
+          node.history[event.index - first] = event.entry;
+        }
+      }
+      node.history_dropped = first;
+    } else {
+      node.history_dropped = length;
+    }
+    node.elected = s.programs_[v]->elected();
     if (bitset_test(s.awake_bits_, v) || bitset_test(s.terminated_bits_, v)) {
-      result.nodes[v].wake_round = s.wake_round_[v];
-      result.nodes[v].forced_wake = s.forced_[v] != 0;
+      node.wake_round = s.wake_round_[v];
+      node.forced_wake = s.forced_[v] != 0;
     }
   }
   finish_energy_stats(result);

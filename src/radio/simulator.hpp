@@ -27,6 +27,7 @@
 /// never transmit while any node sleeps, so the policy is unobservable for
 /// them (asserted by tests).
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -50,12 +51,16 @@ enum class WakePolicy : std::uint8_t {
 /// Which inner loop run() executes.  Both produce bit-identical results
 /// (same RunResult including RunStats, injected-event counters and
 /// histories) and, under a trace sink, the same callback sequence.  The
-/// bitset loop is the word-parallel path every production run takes,
-/// faulted and traced runs included; the scalar loop is the paper-faithful
-/// reference the differential tests compare it against.
+/// bitset loop is the event-driven production path every run takes,
+/// faulted and traced runs included: it stores histories sparsely, keeps a
+/// round calendar of per-node visits taken from NodeProgram::listen_streak,
+/// and never visits a round in which no node acts, so its cost follows
+/// transmissions and receptions rather than rounds.  The scalar loop is the
+/// paper-faithful dense reference the differential tests compare it
+/// against.
 enum class SimulatorEngine : std::uint8_t {
   Scalar,  ///< the reference per-node loop (tests and E5 only)
-  Bitset,  ///< word-parallel production loop
+  Bitset,  ///< event-driven, word-parallel production loop
 };
 
 /// Run-control knobs.
@@ -91,18 +96,21 @@ struct SimulatorOptions {
   /// Fault plan (spec + per-job seed; see fault/fault.hpp).  The default
   /// `none` plan is inactive and leaves every code path exactly as without
   /// the field.  Both loops inject an active plan's events identically; the
-  /// bitset loop's bulk skip of silent rounds stays sound because silence
-  /// rolls no channel dice and the skip stops at the next crash round.
+  /// bitset loop rolls drop/corrupt dice only where a message arrives (as
+  /// the scalar loop effectively does: silence rolls none) and keeps crash
+  /// rounds on its calendar.
   fault::FaultPlan fault = {};
 
-  /// When false, RunResult omits the per-node history vectors (the entries
-  /// are still recorded internally, so NodeOutcome::history_length() and
-  /// everything else stays identical).  Batch sweeps that only consume
-  /// outcomes set this to skip the final history copy-out.
+  /// When false, RunResult omits the per-node history vectors (lengths are
+  /// still tracked, so NodeOutcome::history_length() and everything else
+  /// stays identical).  The bitset loop rebuilds each dense history from
+  /// its events at copy-out, costing one entry per round, so callers that
+  /// only consume outcomes (the batch engine, core::run_protocol) set this
+  /// to skip that copy-out.
   bool keep_histories = true;
 
   /// Optional execution observer (not owned).  A traced run steps every
-  /// round, so the bitset loop forgoes its bulk skip while a sink is set.
+  /// round and every awake node decides in each, as in the scalar loop.
   TraceSink* trace = nullptr;
 };
 
@@ -167,8 +175,9 @@ struct RunResult {
 /// each run and never leak information between runs (asserted by the
 /// differential tests).  Besides the scalar path's channel buffers, the
 /// scratch owns the fast path's program/history arena (SoA node state and
-/// history buffers reused across jobs), a per-seed coin-seed cache, and the
-/// adjacency bitmap cached across same-topology runs.
+/// event-list buffers reused across jobs), its round calendar, a per-seed
+/// coin-seed cache, and the adjacency bitmap cached across same-topology
+/// runs.
 class SimulatorScratch {
  public:
   SimulatorScratch() = default;
@@ -186,11 +195,11 @@ class SimulatorScratch {
   bool seeds_valid_ = false;
   std::vector<std::uint64_t> coin_seeds_;
   // Fast path: program/history arena — SoA node state replacing the scalar
-  // loop's vector-of-NodeState, with history buffers whose capacity
-  // survives across runs.
+  // loop's vector-of-NodeState, with sparse histories (non-silent events
+  // plus a length) whose capacities survive across runs.
   std::vector<std::unique_ptr<NodeProgram>> programs_;
-  std::vector<History> histories_;
-  std::vector<std::size_t> dropped_;
+  std::vector<EventHistory> events_;
+  std::vector<std::size_t> length_;
   std::vector<config::Round> wake_round_;
   std::vector<Message> outgoing_;
   std::vector<std::uint8_t> forced_;
@@ -201,9 +210,17 @@ class SimulatorScratch {
   std::vector<std::uint64_t> terminated_bits_;
   std::vector<std::uint64_t> transmit_bits_;
   std::vector<std::uint64_t> heard_bits_;
-  std::vector<graph::NodeId> awake_list_;
   std::vector<graph::NodeId> woke_list_;
   std::vector<std::pair<config::Round, graph::NodeId>> wake_events_;
+  // Fast path: the round calendar — each node's pending visit round and
+  // the round of its newest heap entry, this round's visits, a ring of
+  // buckets for the next kNearRounds rounds and a min-heap beyond them.
+  static constexpr std::size_t kNearRounds = 64;
+  std::vector<std::uint64_t> due_;
+  std::vector<std::uint64_t> heaped_;
+  std::vector<graph::NodeId> now_;
+  std::array<std::vector<graph::NodeId>, kNearRounds> near_;
+  std::vector<std::uint64_t> later_;
   // Both loops: per-run fault state and effective (staggered) wakeup tags.
   fault::FaultContext fault_;
   std::vector<config::Round> effective_tag_;

@@ -591,6 +591,16 @@ for config in h2 random12; do
   esac
 done
 
+# Two nodes whose tags lie 2·10⁸ rounds apart: the election spans 8·10⁸
+# global rounds but holds two transmissions.  Simulation cost and memory
+# follow transmissions, so it verifies well inside the timeout; a simulator
+# that pays per round runs out of time or memory here.
+out=$(timeout 20 "$cli" elect "$golden/sigma2e8.cfg" 2>&1)
+status=$?
+[ "$status" -eq 0 ] || fail "elect on sigma2e8.cfg should exit 0 within 20 s, got $status"
+printf '%s\n' "$out" | grep -Eq '^verified: +ok$' ||
+  fail "elect on sigma2e8.cfg should print 'verified: ok': $out"
+
 if [ "$failures" -gt 0 ]; then
   exit 1
 fi

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "config/families.hpp"
+#include "graph/generators.hpp"
 #include "core/protocol.hpp"
 #include "support/assert.hpp"
 
@@ -92,6 +93,22 @@ TEST(RunProtocol, CanonicalMatchesElect) {
   EXPECT_EQ(via_registry.valid, via_elect.valid);
   EXPECT_EQ(via_registry.local_rounds, via_elect.local_rounds);
   EXPECT_EQ(via_registry.stats, via_elect.stats);
+}
+
+TEST(RunProtocol, CanonicalElectsAcrossATwoHundredMillionRoundTagGap) {
+  // Two nodes whose wakeup tags lie 2·10⁸ rounds apart: the run spans
+  // 8·10⁸ global rounds but holds two transmissions.  Simulation cost and
+  // memory follow the transmissions, so this elects in milliseconds; one
+  // history entry per round would need gigabytes.
+  const config::Configuration c(graph::path(2), {0, 200'000'000});
+  const core::ElectionReport report = core::run_protocol(c, core::ProtocolSpec::canonical());
+  EXPECT_TRUE(report.valid);
+  EXPECT_EQ(report.disposition, core::Disposition::Elected);
+  EXPECT_EQ(report.leader, graph::NodeId{0});
+  EXPECT_EQ(report.local_rounds, 600'000'002u);
+  EXPECT_EQ(report.global_rounds, 800'000'003u);
+  EXPECT_EQ(report.stats.transmissions, 2u);
+  EXPECT_EQ(report.stats.node_rounds, 1'200'000'004u);
 }
 
 TEST(RunProtocol, CanonicalOnInfeasibleConfigurationsReportsNoLeader) {

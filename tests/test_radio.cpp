@@ -241,6 +241,31 @@ TEST(HistoryView, OutOfWindowAccessThrows) {
   EXPECT_TRUE(view.last().is_collision());
 }
 
+TEST(HistoryView, SparseViewMatchesDenseView) {
+  // H[0..9] with entries 2, 5 and 6 non-silent; entries below 3 evicted.
+  radio::History dense(10, radio::HistoryEntry::silence());
+  dense[2] = radio::HistoryEntry::message(4);
+  dense[5] = radio::HistoryEntry::collision();
+  dense[6] = radio::HistoryEntry::message(9);
+  const radio::History kept(dense.begin() + 3, dense.end());
+  const radio::EventHistory events = {{2, dense[2]}, {5, dense[5]}, {6, dense[6]}};
+  const radio::HistoryView dense_view(kept, 3);
+  const radio::HistoryView sparse_view(events, 10, 3);
+  EXPECT_EQ(sparse_view.length(), 10u);
+  EXPECT_EQ(sparse_view.first_kept(), 3u);
+  for (std::size_t t = 3; t < 10; ++t) {
+    EXPECT_TRUE(sparse_view.entry(t) == dense_view.entry(t)) << t;
+    EXPECT_EQ(sparse_view.next_event(t), dense_view.next_event(t)) << t;
+  }
+  EXPECT_EQ(sparse_view.next_event(3), 5u);
+  EXPECT_EQ(sparse_view.next_event(7), 10u);  // silent to the end: length()
+  EXPECT_TRUE(sparse_view.last().is_silence());
+  EXPECT_TRUE(radio::HistoryView(events, 7, 0).last().is_message());
+  EXPECT_THROW((void)sparse_view.entry(2), ContractViolation);
+  EXPECT_THROW((void)sparse_view.entry(10), ContractViolation);
+  EXPECT_THROW((void)sparse_view.next_event(2), ContractViolation);
+}
+
 // ----------------------------------------------------------- labels and env
 
 TEST(Simulator, LabelSizeMismatchIsRejected) {

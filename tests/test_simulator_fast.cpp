@@ -1,15 +1,19 @@
 /// \file test_simulator_fast.cpp
-/// Differential suite for the simulator's word-parallel fast path: the
-/// bitset engine must produce RunResults bit-identical to the scalar
-/// reference loop — same per-node outcomes including full histories, same
+/// Differential suite for the simulator's event-driven fast path: the
+/// bitset engine, with its sparse histories and per-node round calendar,
+/// must produce RunResults bit-identical to the dense scalar reference
+/// loop — same per-node outcomes including full histories, same
 /// RunStats including the injected-event counters — across channel models,
 /// wake policies, history windows, every fault adversary, protocols (with
-/// and without listen_streak), scratch reuse, and batches whose jobs select
+/// and without listen_streak, including streaks that a reception cuts short
+/// or that outlast the horizon), scratch reuse, and batches whose jobs select
 /// either loop at several thread counts.  Traced runs must emit the same
 /// callback log, argument for argument, on both loops.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -136,13 +140,16 @@ struct InjectedTotals {
 };
 
 /// Every option variant crossed with every differential fault: the
-/// variants `expect_differential` and the trace parity test run.
-std::vector<radio::SimulatorOptions> faulted_variants(const radio::Drip& drip,
-                                                      std::uint64_t coin_seed) {
+/// variants `expect_differential` and the trace parity test run, all with
+/// horizon `max_rounds`.
+std::vector<radio::SimulatorOptions> faulted_variants(
+    const radio::Drip& drip, std::uint64_t coin_seed,
+    config::Round max_rounds = radio::SimulatorOptions{}.max_rounds) {
   std::vector<radio::SimulatorOptions> variants;
   for (const fault::FaultSpec& spec : differential_faults()) {
     for (radio::SimulatorOptions options : option_variants(drip, coin_seed)) {
       options.fault = {spec, /*seed=*/coin_seed};
+      options.max_rounds = max_rounds;
       variants.push_back(options);
     }
   }
@@ -153,8 +160,9 @@ std::vector<radio::SimulatorOptions> faulted_variants(const radio::Drip& drip,
 /// asserts bit-identity; adds the bitset runs' injected events to `totals`.
 void expect_differential(const config::Configuration& configuration, const radio::Drip& drip,
                          std::uint64_t coin_seed, const std::string& what,
-                         InjectedTotals* totals = nullptr) {
-  for (radio::SimulatorOptions options : faulted_variants(drip, coin_seed)) {
+                         InjectedTotals* totals = nullptr,
+                         config::Round max_rounds = radio::SimulatorOptions{}.max_rounds) {
+  for (radio::SimulatorOptions options : faulted_variants(drip, coin_seed, max_rounds)) {
     radio::SimulatorScratch scalar_scratch;
     radio::SimulatorScratch bitset_scratch;
     options.engine = radio::SimulatorEngine::Scalar;
@@ -204,8 +212,9 @@ class CallbackLog final : public radio::TraceSink {
 /// callback logs, plus results identical to the untraced bitset run (a
 /// sink observes; it never changes the outcome).
 void expect_trace_parity(const config::Configuration& configuration, const radio::Drip& drip,
-                         std::uint64_t coin_seed, const std::string& what) {
-  for (radio::SimulatorOptions options : faulted_variants(drip, coin_seed)) {
+                         std::uint64_t coin_seed, const std::string& what,
+                         config::Round max_rounds = radio::SimulatorOptions{}.max_rounds) {
+  for (radio::SimulatorOptions options : faulted_variants(drip, coin_seed, max_rounds)) {
     const std::string variant = what + " [" + describe(options) + "]";
     options.engine = radio::SimulatorEngine::Bitset;
     const radio::RunResult untraced = radio::simulate(configuration, drip, options);
@@ -225,6 +234,96 @@ void expect_trace_parity(const config::Configuration& configuration, const radio
     ASSERT_EQ(scalar_log.events(), bitset_log.events()) << variant;
   }
 }
+
+/// Promises long listen streaks yet reacts to what it hears: hearing a
+/// message or noise in H[i-1] makes decide(i) echo it (a message as its
+/// payload + 1, noise as 100), at most `echoes` times.  Its streaks are
+/// exact "given silence", so the engine must ask listen_streak() again after
+/// every reception; one that kept the old streak would miss the echo.
+class ReactiveDrip final : public radio::Drip {
+ public:
+  ReactiveDrip(config::Round fire, config::Round lifetime, unsigned echoes)
+      : fire_(fire), lifetime_(lifetime), echoes_(echoes) {}
+
+  std::unique_ptr<radio::NodeProgram> instantiate(const radio::NodeEnv&) const override {
+    class Program final : public radio::NodeProgram {
+     public:
+      Program(config::Round fire, config::Round lifetime, unsigned echoes)
+          : fire_(fire), lifetime_(lifetime), echoes_left_(echoes) {}
+
+      radio::Action decide(config::Round i, const radio::HistoryView& history) override {
+        if (i >= lifetime_) {
+          return radio::Action::terminate();
+        }
+        const radio::HistoryEntry heard = history.last();
+        if (!heard.is_silence() && echoes_left_ > 0) {
+          --echoes_left_;
+          return radio::Action::transmit(heard.is_message() ? heard.payload() + 1 : 100);
+        }
+        return i == fire_ ? radio::Action::transmit(1) : radio::Action::listen();
+      }
+
+      config::Round listen_streak(config::Round i, const radio::HistoryView& history) override {
+        if (!history.last().is_silence() && echoes_left_ > 0) {
+          return 0;
+        }
+        const config::Round stop = std::min(i <= fire_ ? fire_ : lifetime_, lifetime_);
+        return stop - i;
+      }
+
+     private:
+      config::Round fire_;
+      config::Round lifetime_;
+      unsigned echoes_left_;
+    };
+    return std::make_unique<Program>(fire_, lifetime_, echoes_);
+  }
+  std::string name() const override { return "reactive"; }
+
+ private:
+  config::Round fire_;
+  config::Round lifetime_;
+  unsigned echoes_;
+};
+
+/// Transmits once in local round `fire` and answers the first message or
+/// noise it hears, but never terminates: after that its listen streak runs
+/// far past any horizon, so a run ends with pending streaks cut short.
+class EndlessStreakDrip final : public radio::Drip {
+ public:
+  explicit EndlessStreakDrip(config::Round fire) : fire_(fire) {}
+
+  std::unique_ptr<radio::NodeProgram> instantiate(const radio::NodeEnv&) const override {
+    class Program final : public radio::NodeProgram {
+     public:
+      explicit Program(config::Round fire) : fire_(fire) {}
+
+      radio::Action decide(config::Round i, const radio::HistoryView& history) override {
+        if (!history.last().is_silence() && !answered_) {
+          answered_ = true;
+          return radio::Action::transmit(7);
+        }
+        return i == fire_ ? radio::Action::transmit(3) : radio::Action::listen();
+      }
+
+      config::Round listen_streak(config::Round i, const radio::HistoryView& history) override {
+        if (!history.last().is_silence() && !answered_) {
+          return 0;
+        }
+        return i <= fire_ ? fire_ - i : std::numeric_limits<config::Round>::max();
+      }
+
+     private:
+      config::Round fire_;
+      bool answered_ = false;
+    };
+    return std::make_unique<Program>(fire_);
+  }
+  std::string name() const override { return "endless-streak"; }
+
+ private:
+  config::Round fire_;
+};
 
 /// A compiled canonical drip for `configuration` (robust mismatch policy, so
 /// windowed runs that starve the program of history terminate cleanly
@@ -265,7 +364,7 @@ TEST(SimulatorFast, ExhaustiveSmallConfigurationsBeacon) {
 
 TEST(SimulatorFast, ExhaustiveSmallConfigurationsCanonical) {
   // The canonical DRIP over the full 3-node census: the protocol whose
-  // listen_streak() drives the fast path's bulk skipping.
+  // listen_streak() drives the fast path's per-node calendar.
   const std::vector<engine::BatchJob> jobs = engine::exhaustive_jobs(3, 2);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     for (const radio::ChannelModel model :
@@ -284,7 +383,7 @@ TEST(SimulatorFast, RandomConfigurationsFuzz) {
   // [0, 6] including the all-equal-tags symmetric case), rotating through
   // the protocol zoo: beacons (collisions + forced wakeups), silence
   // (termination discipline), the coin-flipping randomized baseline (the
-  // coin-seed cache), and the canonical DRIP (listen_streak bulk skips).
+  // coin-seed cache), and the canonical DRIP (listen_streak schedules).
   // Each runs under all 8 option variants, each crossed with the reliable
   // channel and four active adversaries, on both engines.
   constexpr std::size_t kConfigs = 10000;
@@ -325,6 +424,57 @@ TEST(SimulatorFast, RandomConfigurationsFuzz) {
   totals.expect_all_fired();
 }
 
+// ------------------------------------------------------ per-node streaks
+
+TEST(SimulatorFast, ReceptionsCallTheNodeBackForAFreshStreak) {
+  // The bitset loop visits a node only when its streak runs out, unless it
+  // hears a message or noise first.  The reactive drip echoes what it
+  // hears although its streak promised silence; the endless-streak drip
+  // leaves streaks pending past the horizon.  Every other reactive drip
+  // fires and lives past the calendar's 64-round ring, so its streaks wait
+  // in the heap, and every fourth echoes up to 40 times, so windowed
+  // histories shed events.  Every tenth configuration also runs the
+  // canonical DRIP with a tag span of 20-40, whose phases outlast the
+  // ring.  All must match the reference under every option variant and
+  // adversary, untraced and traced.
+  support::Rng rng(20261018);
+  InjectedTotals totals;
+  for (std::size_t i = 0; i < 150; ++i) {
+    const config::Configuration configuration = random_configuration(rng);
+    const std::string what = "streak #" + std::to_string(i);
+    const config::Round far = i % 2 == 1 ? 70 : 0;
+    const ReactiveDrip reactive(1 + i % 5 + far, 12 + i % 9 + 2 * far,
+                                i % 4 == 3 ? 40 : 1 + i % 3);
+    expect_differential(configuration, reactive, i, what + " reactive", &totals);
+    const EndlessStreakDrip endless(1 + i % 4);
+    expect_differential(configuration, endless, i, what + " endless", &totals,
+                        /*max_rounds=*/40);
+    if (i % 5 == 0) {
+      expect_trace_parity(configuration, reactive, i, what + " reactive");
+      expect_trace_parity(configuration, endless, i, what + " endless", /*max_rounds=*/40);
+    }
+    if (i % 10 == 0) {
+      const auto span = static_cast<config::Tag>(20 + i % 21);
+      const config::Configuration wide = config::random_tags_with_span(
+          graph::gnp_connected(configuration.size(), 0.4, rng), span, rng);
+      const auto drip = canonical_for(wide, radio::ChannelModel::CollisionDetection);
+      expect_differential(wide, *drip, i, what + " canonical span " + std::to_string(span),
+                          &totals);
+    }
+  }
+  totals.expect_all_fired();
+
+  // On a 2-node path the echoes ping-pong: node 0 fires in round 3, which
+  // force-wakes node 1, and each then answers the other until its three
+  // echoes run out — six transmissions no streak predicted.
+  const config::Configuration path(graph::path(2), {0, 9});
+  const ReactiveDrip reactive(3, 20, 3);
+  const radio::RunResult run = radio::simulate(path, reactive);
+  EXPECT_EQ(run.stats.transmissions, 7u);
+  EXPECT_EQ(run.stats.clean_receptions, 6u);
+  expect_differential(path, reactive, 0, "ping-pong");
+}
+
 // ----------------------------------------------------------------- horizon
 
 TEST(SimulatorFast, HorizonGuardParity) {
@@ -350,7 +500,7 @@ TEST(SimulatorFast, HorizonGuardParity) {
 // ------------------------------------------------------------ trace parity
 
 TEST(SimulatorFast, TracedRunsEmitIdenticalCallbackLogs) {
-  // A trace sink makes the bitset loop step every round (no bulk skip, no
+  // A trace sink makes the bitset loop step every round (no calendar, no
   // all-asleep jump) and emit callbacks in the reference order: round
   // begin, actions by node id, wakes and receptions by node id, round end.
   // The full logs must match under every option variant and adversary, for
@@ -482,8 +632,8 @@ TEST(SimulatorFast, EnginesProduceSameBatchResultsAcrossThreadCounts) {
 
 TEST(SimulatorFast, MutationSweepEngineParityAtN64) {
   // The E5 benchmark shape in miniature: single-tag mutations of an n=64
-  // configuration with a large tag span, where the bitset path's bulk
-  // skipping does almost all the work.  Scalar and bitset jobs must carry
+  // configuration with a large tag span, where the bitset path's calendar
+  // skips almost every round.  Scalar and bitset jobs must carry
   // identical results.
   support::Rng rng(4242);
   const config::Configuration base =
