@@ -114,15 +114,16 @@ struct ElectionReport {
 };
 
 /// The compiled per-configuration knowledge a schedule cache stores: the
-/// Classifier run and (once some simulating job needed it) the canonical
-/// schedule built from it.  Both are pure functions of (configuration,
-/// channel model, classifier choice), which is what makes memoizing them
-/// safe: a cache hit yields bit-identical artifacts to a fresh compile.
+/// Classifier run and the canonical schedule built from it, always together
+/// — whichever protocol caused the compile.  Both are pure functions of
+/// (configuration, channel model, classifier choice), which is what makes
+/// memoizing them safe: a cache hit yields bit-identical artifacts to a
+/// fresh compile.
 struct CompiledConfiguration {
   ClassifierResult classification;
 
-  /// Null until a simulating run pays for schedule compilation (classify-only
-  /// jobs never do); an entry may later be upgraded in place of a rebuild.
+  /// Never null in a cached or stored entry (infeasible configurations
+  /// compile to a schedule too: the one every node runs without electing).
   std::shared_ptr<const CanonicalSchedule> schedule;
 };
 
@@ -134,8 +135,10 @@ struct CompiledConfiguration {
 /// Contract: lookup() may only return an entry previously store()d for an
 /// equal (configuration, model, fast_classifier) key — implementations keyed
 /// by a digest must verify the configuration on a match, so a hash collision
-/// degrades to a miss, never to wrong artifacts.  Both calls must be safe
-/// from concurrent worker threads.
+/// degrades to a miss, never to wrong artifacts.  store() takes only complete
+/// entries (schedule included), so every entry of a key holds the same
+/// artifacts and a racing store may simply replace another.  Both calls must
+/// be safe from concurrent worker threads.
 class ScheduleCacheHandle {
  public:
   virtual ~ScheduleCacheHandle() = default;
@@ -145,7 +148,8 @@ class ScheduleCacheHandle {
       const config::Configuration& configuration, radio::ChannelModel model,
       bool fast_classifier) = 0;
 
-  /// Stores (or replaces) the key's artifacts; returns the stored entry.
+  /// Stores (or replaces) the key's complete artifacts; returns the stored
+  /// entry.  Called once per compile.
   virtual std::shared_ptr<const CompiledConfiguration> store(
       const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
       CompiledConfiguration compiled) = 0;

@@ -91,43 +91,42 @@ std::vector<std::uint64_t> wakeup_order_labels(const config::Configuration& conf
   return labels;
 }
 
-/// Classifies `configuration` (and, for simulating runs, compiles the
-/// canonical schedule) through the scratch's schedule cache when one is
-/// attached: a hit reuses the compiled artifacts, a miss — or a hit holding
-/// only the classification when a schedule is now needed — compiles the
-/// missing piece and stores the result back.  Both artifacts are pure
-/// functions of the key, so the returned entry is bit-identical to a fresh
-/// compile (asserted by tests/test_schedule_cache.cpp).
+/// Compiles `configuration` into the one artifact the pipeline caches and
+/// stores: the Classifier run plus the canonical schedule built from its
+/// records (§3.3.1 — a feasible classification already is the algorithm).
+/// Classify-only jobs pay for the schedule too; it costs about 1% of
+/// classifying and keeps every entry of a key the same complete artifact.
+CompiledConfiguration compile(const config::Configuration& configuration,
+                              const ElectionOptions& options) {
+  CompiledConfiguration compiled;
+  {
+    const obs::PhaseTimer span(obs::Phase::Classify);
+    compiled.classification = options.use_fast_classifier
+                                  ? FastClassifier(options.channel_model).run(configuration)
+                                  : Classifier(options.channel_model).run(configuration);
+  }
+  const obs::PhaseTimer span(obs::Phase::ScheduleCompile);
+  compiled.schedule = std::make_shared<const CanonicalSchedule>(
+      build_schedule(configuration, compiled.classification));
+  return compiled;
+}
+
+/// The key's compiled artifacts through the scratch's schedule cache: a hit
+/// reuses them, a miss compiles and stores them.  They are a pure function
+/// of the key, so the returned entry is bit-identical to a fresh compile
+/// (asserted by tests/test_schedule_cache.cpp).
 std::shared_ptr<const CompiledConfiguration> classify_and_compile(
     const config::Configuration& configuration, const ElectionOptions& options,
-    bool need_schedule, ScheduleCacheHandle& cache) {
-  std::shared_ptr<const CompiledConfiguration> compiled;
+    ScheduleCacheHandle& cache) {
   {
     const obs::PhaseTimer span(obs::Phase::CacheLookup);
-    compiled = cache.lookup(configuration, options.channel_model, options.use_fast_classifier);
-  }
-  if (compiled != nullptr && (!need_schedule || compiled->schedule != nullptr)) {
-    return compiled;
-  }
-
-  CompiledConfiguration fresh;
-  if (compiled != nullptr) {
-    fresh.classification = compiled->classification;  // upgrade: only the schedule is missing
-  } else {
-    const obs::PhaseTimer span(obs::Phase::Classify);
-    if (options.use_fast_classifier) {
-      fresh.classification = FastClassifier(options.channel_model).run(configuration);
-    } else {
-      fresh.classification = Classifier(options.channel_model).run(configuration);
+    if (auto compiled =
+            cache.lookup(configuration, options.channel_model, options.use_fast_classifier)) {
+      return compiled;
     }
   }
-  if (need_schedule) {
-    const obs::PhaseTimer span(obs::Phase::ScheduleCompile);
-    fresh.schedule = std::make_shared<const CanonicalSchedule>(
-        build_schedule(configuration, fresh.classification));
-  }
   return cache.store(configuration, options.channel_model, options.use_fast_classifier,
-                     std::move(fresh));
+                     compile(configuration, options));
 }
 
 /// The canonical pipeline (previously the body of elect()): classify,
@@ -137,26 +136,16 @@ ElectionReport run_canonical(const config::Configuration& configuration,
                              ElectionScratch& scratch) {
   ElectionReport report;
   if (scratch.schedule_cache != nullptr) {
-    const std::shared_ptr<const CompiledConfiguration> compiled = classify_and_compile(
-        configuration, options, /*need_schedule=*/simulate, *scratch.schedule_cache);
+    const std::shared_ptr<const CompiledConfiguration> compiled =
+        classify_and_compile(configuration, options, *scratch.schedule_cache);
     report.classification = compiled->classification;
-    report.schedule = compiled->schedule;  // null for classify-only entries
+    report.schedule = compiled->schedule;
   } else {
-    // Uncached: classify straight into the report (no artifact copy — this
-    // is elect()'s default path and large uncached sweeps run through it).
-    {
-      const obs::PhaseTimer span(obs::Phase::Classify);
-      if (options.use_fast_classifier) {
-        report.classification = FastClassifier(options.channel_model).run(configuration);
-      } else {
-        report.classification = Classifier(options.channel_model).run(configuration);
-      }
-    }
-    if (simulate) {
-      const obs::PhaseTimer span(obs::Phase::ScheduleCompile);
-      report.schedule = std::make_shared<const CanonicalSchedule>(
-          build_schedule(configuration, report.classification));
-    }
+    // Uncached: move the artifacts straight into the report (no copy of the
+    // classification records — large uncached sweeps run through here).
+    CompiledConfiguration compiled = compile(configuration, options);
+    report.classification = std::move(compiled.classification);
+    report.schedule = std::move(compiled.schedule);
   }
   report.feasible = report.classification.feasible();
 

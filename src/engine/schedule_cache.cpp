@@ -95,41 +95,42 @@ std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::lookup(
 std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::store(
     const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
     core::CompiledConfiguration compiled) {
+  ARL_EXPECTS(compiled.schedule != nullptr, "ScheduleCache::store needs the compiled schedule");
+  return insert(configuration, model, fast_classifier,
+                std::make_shared<const core::CompiledConfiguration>(std::move(compiled)),
+                /*built=*/true);
+}
+
+std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::promote(
+    const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
+    std::shared_ptr<const core::CompiledConfiguration> loaded) {
+  ARL_EXPECTS(loaded != nullptr && loaded->schedule != nullptr,
+              "ScheduleCache::promote needs a complete entry");
+  return insert(configuration, model, fast_classifier, std::move(loaded), /*built=*/false);
+}
+
+std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::insert(
+    const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
+    std::shared_ptr<const core::CompiledConfiguration> entry, bool built) {
   const std::uint64_t key = slot_key(configuration, model, fast_classifier);
-  auto entry = std::make_shared<const core::CompiledConfiguration>(std::move(compiled));
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
+  if (built) {
+    shard.schedule_builds += 1;
+  }
   const auto found = shard.index.find(key);
   if (found != shard.index.end()) {
-    // Replacement: an upgrade adding the schedule, a racing worker's
-    // duplicate compile, or (astronomically rarely) a digest collision.
+    // Replacement: a racing worker's duplicate compile (the same artifacts)
+    // or, astronomically rarely, a digest collision.  The verification
+    // fields are rewritten with the artifacts, so a later lookup verifies
+    // against the configuration they were compiled from.
     Slot& slot = *found->second;
-    const bool same_key = slot.model == model && slot.fast_classifier == fast_classifier &&
-                          slot.configuration == configuration;
-    if (same_key && entry->schedule == nullptr && slot.compiled->schedule != nullptr) {
-      // A racing classify-only compile must not downgrade an entry that
-      // already holds the schedule: keep the more complete artifacts.
-      shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
-      return slot.compiled;
-    }
-    if (entry->schedule != nullptr && (!same_key || slot.compiled->schedule == nullptr)) {
-      shard.schedule_builds += 1;
-    }
-    if (!same_key) {
-      // Collision replacement: rewrite the verification fields along with
-      // the artifacts, so a later lookup verifies against the configuration
-      // they were compiled from, not a stale one.  (Upgrades and duplicate
-      // compiles match the stored fields already — no copy needed.)
-      slot.configuration = configuration;
-      slot.model = model;
-      slot.fast_classifier = fast_classifier;
-    }
+    slot.configuration = configuration;
+    slot.model = model;
+    slot.fast_classifier = fast_classifier;
     slot.compiled = std::move(entry);
     shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
     return slot.compiled;
-  }
-  if (entry->schedule != nullptr) {
-    shard.schedule_builds += 1;
   }
   shard.lru.push_front(Slot{key, configuration, model, fast_classifier, std::move(entry)});
   shard.index.emplace(key, shard.lru.begin());

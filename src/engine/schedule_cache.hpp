@@ -41,9 +41,11 @@ namespace arl::engine {
 /// so exact values are only deterministic for single-threaded batches.
 struct ScheduleCacheStats {
   std::uint64_t hits = 0;             ///< lookups answered from the cache
-  std::uint64_t misses = 0;           ///< lookups that found nothing (each one classifies)
+  std::uint64_t misses = 0;           ///< lookups that found nothing (each one compiles,
+                                      ///< unless a disk tier behind the cache has the entry)
   std::uint64_t evictions = 0;        ///< entries dropped by the capacity bound
-  std::uint64_t schedule_builds = 0;  ///< schedules compiled through the cache (miss or upgrade)
+  std::uint64_t schedule_builds = 0;  ///< compiles stored through the cache (one per store();
+                                      ///< entries promoted from disk are not builds)
   std::uint64_t entries = 0;          ///< entries resident right now
 
   /// Hits per lookup, in [0, 1] (0 when nothing was looked up).
@@ -85,9 +87,17 @@ class ScheduleCache final : public core::ScheduleCacheHandle {
       const config::Configuration& configuration, radio::ChannelModel model,
       bool fast_classifier) override;
 
+  /// Stores a fresh compile (the schedule must be present) and counts it
+  /// as a schedule build.
   std::shared_ptr<const core::CompiledConfiguration> store(
       const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
       core::CompiledConfiguration compiled) override;
+
+  /// Inserts an entry compiled elsewhere (a verified disk load) without
+  /// counting a build; the shared artifacts are kept, not copied.
+  std::shared_ptr<const core::CompiledConfiguration> promote(
+      const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
+      std::shared_ptr<const core::CompiledConfiguration> loaded);
 
   /// Snapshot of the counters, summed across shards.
   [[nodiscard]] ScheduleCacheStats stats() const;
@@ -119,6 +129,10 @@ class ScheduleCache final : public core::ScheduleCacheHandle {
   };
 
   [[nodiscard]] Shard& shard_for(std::uint64_t key);
+
+  std::shared_ptr<const core::CompiledConfiguration> insert(
+      const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
+      std::shared_ptr<const core::CompiledConfiguration> entry, bool built);
 
   std::size_t shard_capacity_ = 0;
   std::vector<Shard> shards_;

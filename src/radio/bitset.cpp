@@ -12,12 +12,6 @@ void AdjacencyBitmap::build(const graph::Graph& graph) {
       row[w >> 6] |= std::uint64_t{1} << (w & 63);
     }
   }
-  source_ = graph;
-  built_ = true;
-}
-
-bool AdjacencyBitmap::matches(const graph::Graph& graph) const {
-  return built_ && source_ == graph;
 }
 
 }  // namespace arl::radio

@@ -9,8 +9,9 @@
 /// transmitter set T.  Lifting the CSR adjacency into per-node 64-bit
 /// neighbour bitmaps turns that count into AND/popcount over a handful of
 /// words, and turns "who heard the transmitters" into an OR of rows — both
-/// word-parallel and branch-free.  The bitmap is built once per topology and
-/// cached (keyed by graph equality) so same-topology batches pay for it once.
+/// word-parallel and branch-free.  The rows are rebuilt every run into
+/// reused storage: O(n·words + m), no more than the O(m) graph comparison a
+/// topology-keyed cache would pay on every run (plus a graph copy per miss).
 
 #include <cstdint>
 #include <vector>
@@ -42,13 +43,8 @@ class AdjacencyBitmap {
  public:
   AdjacencyBitmap() = default;
 
-  /// Rebuilds the rows for `graph` and remembers the graph as the cache key
-  /// (O(n·words + m)).
+  /// Rebuilds the rows for `graph` (O(n·words + m)), reusing the storage.
   void build(const graph::Graph& graph);
-
-  /// True when the rows were built from a graph equal to `graph`; lets a
-  /// scratch reuse the build across same-topology runs.
-  [[nodiscard]] bool matches(const graph::Graph& graph) const;
 
   [[nodiscard]] graph::NodeId node_count() const { return node_count_; }
   [[nodiscard]] std::size_t words_per_row() const { return words_; }
@@ -62,8 +58,6 @@ class AdjacencyBitmap {
   graph::NodeId node_count_ = 0;
   std::size_t words_ = 0;
   std::vector<std::uint64_t> rows_;
-  graph::Graph source_;  // cache key for matches()
-  bool built_ = false;
 };
 
 }  // namespace arl::radio

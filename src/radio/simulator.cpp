@@ -401,34 +401,16 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
   ARL_EXPECTS(options_.labels.empty() || options_.labels.size() == n,
               "labels must be absent or cover every node");
 
-  // Per-node coin seeds, cached per master seed.  split(v) depends only on
-  // (seed, v), so a cache built for a smaller n extends in place.
-  if (!s.seeds_valid_ || s.seeds_from_ != options_.coin_seed) {
-    s.coin_seeds_.clear();
-    s.seeds_from_ = options_.coin_seed;
-    s.seeds_valid_ = true;
-  }
-  if (s.coin_seeds_.size() < n) {
-    const support::Rng seeder(options_.coin_seed);
-    const std::size_t known = s.coin_seeds_.size();
-    s.coin_seeds_.resize(n);
-    for (std::size_t v = known; v < n; ++v) {
-      s.coin_seeds_[v] = seeder.split(v).next();
-    }
-  }
-
-  // Adjacency bitmap, cached across same-topology runs.
-  if (!s.adjacency_.matches(graph)) {
-    s.adjacency_.build(graph);
-  }
+  s.adjacency_.build(graph);
   const std::size_t words = s.adjacency_.words_per_row();
 
   // Program/history arena: the slot vectors and event-list capacities
   // persist across runs; programs themselves are stateful and re-instantiated.
+  const support::Rng seeder(options_.coin_seed);
   s.programs_.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     NodeEnv env;
-    env.coin_seed = s.coin_seeds_[v];
+    env.coin_seed = seeder.split(v).next();
     if (!options_.labels.empty()) {
       env.label = options_.labels[v];
     }

@@ -175,9 +175,8 @@ struct RunResult {
 /// each run and never leak information between runs (asserted by the
 /// differential tests).  Besides the scalar path's channel buffers, the
 /// scratch owns the fast path's program/history arena (SoA node state and
-/// event-list buffers reused across jobs), its round calendar, a per-seed
-/// coin-seed cache, and the adjacency bitmap cached across same-topology
-/// runs.
+/// event-list buffers reused across jobs), its round calendar, and the
+/// adjacency bitmap's row storage.
 class SimulatorScratch {
  public:
   SimulatorScratch() = default;
@@ -189,11 +188,6 @@ class SimulatorScratch {
   std::vector<std::uint32_t> transmitter_count_;
   std::vector<Message> pending_message_;
   std::vector<graph::NodeId> transmitters_;
-  // Fast path: per-node coin seeds, cached per master seed (split() output
-  // only depends on (seed, node id), so extending for a larger n is sound).
-  std::uint64_t seeds_from_ = 0;
-  bool seeds_valid_ = false;
-  std::vector<std::uint64_t> coin_seeds_;
   // Fast path: program/history arena — SoA node state replacing the scalar
   // loop's vector-of-NodeState, with sparse histories (non-silent events
   // plus a length) whose capacities survive across runs.

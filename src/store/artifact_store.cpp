@@ -63,24 +63,18 @@ std::string compose_entry(std::uint64_t key, const config::Configuration& config
                           radio::ChannelModel model, bool fast_classifier,
                           const core::CompiledConfiguration& compiled) {
   std::ostringstream body;
-  body << "arl-artifact 1\n";
+  body << "arl-artifact 2\n";
   body << "key " << hex64(key) << '\n';
   body << "model " << (model == radio::ChannelModel::CollisionDetection ? "cd" : "nocd") << '\n';
   body << "fast " << (fast_classifier ? 1 : 0) << '\n';
   body << "config-fingerprint " << hex64(config::fingerprint(configuration)) << '\n';
   body << "classification-fingerprint "
        << hex64(core::classification_fingerprint(compiled.classification)) << '\n';
-  if (compiled.schedule != nullptr) {
-    body << "schedule-fingerprint " << hex64(core::schedule_fingerprint(*compiled.schedule))
-         << '\n';
-  } else {
-    body << "schedule-fingerprint -\n";
-  }
+  body << "schedule-fingerprint " << hex64(core::schedule_fingerprint(*compiled.schedule))
+       << '\n';
   config::to_text(configuration, body);
   core::classification_to_text(compiled.classification, body);
-  if (compiled.schedule != nullptr) {
-    core::schedule_to_text(*compiled.schedule, body);
-  }
+  core::schedule_to_text(*compiled.schedule, body);
   std::string text = body.str();
   text += "end " + hex64(support::hash_text_bulk(text, kBodyDigestSeed)) + '\n';
   return text;
@@ -133,7 +127,7 @@ core::CompiledConfiguration parse_entry(const std::string& text, std::uint64_t k
   };
 
   field("arl-artifact");
-  ARL_EXPECTS(value == "1", "unknown artifact format version");
+  ARL_EXPECTS(value == "2", "unknown artifact format version");
   field("key");
   ARL_EXPECTS(parse_hex64(value) == key, "artifact key mismatch");
   field("model");
@@ -147,8 +141,7 @@ core::CompiledConfiguration parse_entry(const std::string& text, std::uint64_t k
   field("classification-fingerprint");
   const std::uint64_t classification_digest = parse_hex64(value);
   field("schedule-fingerprint");
-  const bool has_schedule = value != "-";
-  const std::uint64_t schedule_digest = has_schedule ? parse_hex64(value) : 0;
+  const std::uint64_t schedule_digest = parse_hex64(value);
 
   // The embedded sections.  config::from_text is self-terminating, so the
   // sections parse back to back from the same stream.
@@ -161,18 +154,11 @@ core::CompiledConfiguration parse_entry(const std::string& text, std::uint64_t k
   ARL_EXPECTS(core::classification_fingerprint(compiled.classification) == classification_digest,
               "artifact classification fingerprint mismatch");
   ARL_EXPECTS(compiled.classification.model == model, "artifact classification model mismatch");
-  if (has_schedule) {
-    auto schedule = std::make_shared<core::CanonicalSchedule>(core::schedule_from_text(in));
-    ARL_EXPECTS(core::schedule_fingerprint(*schedule) == schedule_digest,
-                "artifact schedule fingerprint mismatch");
-    compiled.schedule = std::move(schedule);
-  }
+  auto schedule = std::make_shared<core::CanonicalSchedule>(core::schedule_from_text(in));
+  ARL_EXPECTS(core::schedule_fingerprint(*schedule) == schedule_digest,
+              "artifact schedule fingerprint mismatch");
+  compiled.schedule = std::move(schedule);
   return compiled;
-}
-
-bool file_exists(const std::string& path) {
-  struct ::stat info {};
-  return ::stat(path.c_str(), &info) == 0;
 }
 
 /// mkdir -p.  Returns false on failure; true when the directory exists.
@@ -194,26 +180,17 @@ bool make_directories(const std::string& path) {
   return ::stat(path.c_str(), &info) == 0 && S_ISDIR(info.st_mode);
 }
 
-/// How a finished tmp file becomes the entry.
-enum class Publish : std::uint8_t {
-  Replace,  ///< rename(): overwrites any entry (schedule-bearing saves)
-  Create,   ///< link(): never overwrites (classification-only saves)
-};
-
-enum class WriteResult : std::uint8_t { Saved, Exists, Failed };
-
 /// Writes `text` to `final_path` via a private tmp sibling: write, fsync,
-/// publish, fsync the directory.  Publish::Create returns Exists, writing
-/// nothing, when any entry is already there — the existence check and the
-/// publish are one atomic link(), so a schedule-bearing entry that a racing
-/// save renames into place can never be clobbered.  The tmp file never
-/// outlives the call; the final path is never left partial.
-WriteResult write_entry_atomically(const std::string& directory, const std::string& final_path,
-                                   const std::string& tmp_path, const std::string& text,
-                                   Publish publish) {
+/// rename over any entry already there, fsync the directory.  Every entry
+/// of a key holds the same bytes, so whichever racing save renames last
+/// publishes the same artifact, and a stale or corrupt file is simply
+/// replaced.  The tmp file never outlives the call; the final path is never
+/// left partial.  Returns false on any I/O failure.
+bool write_entry_atomically(const std::string& directory, const std::string& final_path,
+                            const std::string& tmp_path, const std::string& text) {
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    return WriteResult::Failed;
+    return false;
   }
   std::size_t written = 0;
   bool ok = true;
@@ -230,16 +207,9 @@ WriteResult write_entry_atomically(const std::string& directory, const std::stri
   }
   ok = ok && ::fsync(fd) == 0;
   ok = ::close(fd) == 0 && ok;
-  if (ok && publish == Publish::Create) {
-    const bool linked = ::link(tmp_path.c_str(), final_path.c_str()) == 0;
-    const bool existed = !linked && errno == EEXIST;
+  if (!ok || ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     ::unlink(tmp_path.c_str());
-    if (!linked) {
-      return existed ? WriteResult::Exists : WriteResult::Failed;
-    }
-  } else if (!ok || ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    ::unlink(tmp_path.c_str());
-    return WriteResult::Failed;
+    return false;
   }
   // Make the publish itself durable.
   const int dir_fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
@@ -247,7 +217,7 @@ WriteResult write_entry_atomically(const std::string& directory, const std::stri
     (void)::fsync(dir_fd);
     (void)::close(dir_fd);
   }
-  return WriteResult::Saved;
+  return true;
 }
 
 }  // namespace
@@ -318,20 +288,10 @@ std::shared_ptr<const core::CompiledConfiguration> ArtifactStore::load(
 
 void ArtifactStore::save(const config::Configuration& configuration, radio::ChannelModel model,
                          bool fast_classifier, const core::CompiledConfiguration& compiled) {
+  ARL_EXPECTS(compiled.schedule != nullptr, "ArtifactStore::save needs the compiled schedule");
   const obs::PhaseTimer span(obs::Phase::StoreSave);
   const std::uint64_t key = entry_key(configuration, model, fast_classifier);
   const std::string path = directory_ + '/' + hex64(key) + ".arl";
-
-  // An entry on disk is at least classification-complete; only a schedule
-  // upgrade justifies rewriting it (and a classification-only save must
-  // never downgrade a schedule-bearing entry).  This check only spares the
-  // write; Publish::Create below enforces the rule atomically.
-  const bool classification_only = compiled.schedule == nullptr;
-  if (classification_only && file_exists(path)) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.skipped;
-    return;
-  }
 
   std::uint64_t tmp_id = 0;
   {
@@ -342,20 +302,12 @@ void ArtifactStore::save(const config::Configuration& configuration, radio::Chan
       path + ".tmp." + std::to_string(::getpid()) + "." + std::to_string(tmp_id);
 
   const std::string text = compose_entry(key, configuration, model, fast_classifier, compiled);
-  const WriteResult result =
-      write_entry_atomically(directory_, path, tmp_path, text,
-                             classification_only ? Publish::Create : Publish::Replace);
+  const bool saved = write_entry_atomically(directory_, path, tmp_path, text);
   const std::lock_guard<std::mutex> lock(mutex_);
-  switch (result) {
-    case WriteResult::Saved:
-      ++stats_.saves;
-      break;
-    case WriteResult::Exists:
-      ++stats_.skipped;
-      break;
-    case WriteResult::Failed:
-      ++stats_.errors;
-      break;
+  if (saved) {
+    ++stats_.saves;
+  } else {
+    ++stats_.errors;
   }
 }
 

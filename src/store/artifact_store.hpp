@@ -15,17 +15,22 @@
 /// keys on, under a store-private seed.  Each entry file is line-oriented
 /// and self-verifying:
 ///
-///     arl-artifact 1
+///     arl-artifact 2
 ///     key <hex16>
 ///     model <cd|nocd>
 ///     fast <0|1>
 ///     config-fingerprint <hex16>
 ///     classification-fingerprint <hex16>
-///     schedule-fingerprint <hex16|->
+///     schedule-fingerprint <hex16>
 ///     <embedded config::to_text>
 ///     <embedded classification_to_text>
-///     <embedded schedule_to_text, iff schedule-fingerprint != ->
+///     <embedded schedule_to_text>
 ///     end <hex16>
+///
+/// Every entry is complete — classification and schedule — so every entry
+/// of a key holds the same bytes.  (Version 1 allowed classification-only
+/// entries; a v1 file is rejected like any foreign format and overwritten
+/// by the save that follows the miss.)
 ///
 /// The trailing `end` digest covers every preceding byte; a load verifies
 /// it, re-parses the sections, checks the stored configuration equals the
@@ -34,10 +39,10 @@
 /// fingerprints.  Any mismatch, truncation or parse error rejects the file
 /// and reads as a miss — never as a wrong artifact.
 ///
-/// Writes are crash-safe: the entry is composed in memory, written to a
-/// private `*.tmp*` sibling, fsync'd, renamed over the final name, and the
-/// directory fsync'd — a process killed mid-write leaves at most a `.tmp`
-/// file that no load will ever open.
+/// Writes have one publish path and are crash-safe: the entry is composed in
+/// memory, written to a private `*.tmp*` sibling, fsync'd, renamed over the
+/// final name, and the directory fsync'd — a process killed mid-write leaves
+/// at most a `.tmp` file that no load will ever open.
 
 #include <cstdint>
 #include <memory>
@@ -55,7 +60,7 @@ struct ArtifactStoreStats {
   std::uint64_t misses = 0;    ///< loads that found no entry file
   std::uint64_t rejected = 0;  ///< loads that found a corrupt/mismatched file (counts as a miss)
   std::uint64_t saves = 0;     ///< entries written (tmp file published)
-  std::uint64_t skipped = 0;   ///< saves elided because the entry on disk is already as good
+  std::uint64_t skipped = 0;   ///< always 0: every save publishes (kept for the stats wire)
   std::uint64_t errors = 0;    ///< I/O failures (the store keeps working; results are unaffected)
 
   /// Counter growth between an `earlier` snapshot and this one.
@@ -65,8 +70,8 @@ struct ArtifactStoreStats {
 };
 
 /// The on-disk tier.  Thread-safe: loads and saves take no lock beyond the
-/// stats mutex (distinct keys touch distinct files; same-key racers publish
-/// atomically, and only schedule-bearing racers may replace an entry).  All
+/// stats mutex (distinct keys touch distinct files; same-key racers each
+/// publish the same bytes atomically, so the last rename wins harmlessly).  All
 /// I/O failures are absorbed into the stats — the store degrades to "always
 /// miss" rather than failing a sweep.
 class ArtifactStore {
@@ -83,12 +88,8 @@ class ArtifactStore {
   [[nodiscard]] std::shared_ptr<const core::CompiledConfiguration> load(
       const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier);
 
-  /// Persists the entry (tmp+fsync, then rename or link).  Skips the write
-  /// when the file already exists and `compiled` carries no schedule — an
-  /// existing entry is at least as complete, and a schedule-bearing entry
-  /// must never be downgraded to a classification-only one.  The skip is
-  /// atomic: classification-only entries are published with link(), which
-  /// fails on any existing entry, even one a concurrent save just wrote.
+  /// Persists the complete entry (`compiled.schedule` must be set): tmp
+  /// file, fsync, rename over whatever is there, fsync the directory.
   void save(const config::Configuration& configuration, radio::ChannelModel model,
             bool fast_classifier, const core::CompiledConfiguration& compiled);
 

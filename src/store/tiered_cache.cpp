@@ -1,5 +1,7 @@
 #include "store/tiered_cache.hpp"
 
+#include <utility>
+
 #include "obs/metrics.hpp"
 
 namespace arl::store {
@@ -13,11 +15,10 @@ std::shared_ptr<const core::CompiledConfiguration> TieredScheduleCache::lookup(
     return hit;
   }
   if (auto loaded = artifacts_.load(configuration, model, fast_classifier)) {
-    // Promote the disk hit so repeat lookups stay in memory.  store() takes
-    // the artifact by value; the copy is cheap — the schedule rides along as
-    // a shared_ptr and only the classification records are duplicated.
+    // Promote the disk hit so repeat lookups stay in memory.  Nothing was
+    // compiled, so the promotion counts no schedule build.
     const obs::PhaseTimer span(obs::Phase::CachePromote);
-    return memory_.store(configuration, model, fast_classifier, *loaded);
+    return memory_.promote(configuration, model, fast_classifier, std::move(loaded));
   }
   return nullptr;
 }
@@ -25,8 +26,7 @@ std::shared_ptr<const core::CompiledConfiguration> TieredScheduleCache::lookup(
 std::shared_ptr<const core::CompiledConfiguration> TieredScheduleCache::store(
     const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
     core::CompiledConfiguration compiled) {
-  // Write-through: memory first (it may upgrade/merge with a resident
-  // entry), then persist what the memory tier actually settled on.
+  // Write-through: memory first, then the same entry to disk.
   auto stored = memory_.store(configuration, model, fast_classifier, std::move(compiled));
   artifacts_.save(configuration, model, fast_classifier, *stored);
   return stored;

@@ -6,7 +6,10 @@
 ///
 /// Lookups probe memory first; a memory miss falls through to the store,
 /// and a verified disk hit is promoted into the memory tier so repeat
-/// lookups stay off the filesystem.  Stores are write-through: the entry
+/// lookups stay off the filesystem (a promotion is not a schedule build).
+/// Both tiers hold only complete entries (classification and schedule), so
+/// a disk hit serves any protocol and a miss on a missing, stale-format or
+/// corrupt file compiles and overwrites it.  Stores are write-through: the entry
 /// lands in the LRU *and* on disk immediately, so a SIGKILL at any point
 /// loses at most the artifact currently being compiled — an
 /// eviction-triggered spill would instead lose every dirty entry still

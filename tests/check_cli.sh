@@ -373,6 +373,10 @@ case "$out" in
   *"artifact store:"*" 0 saves"*) ;;
   *) fail "a warm store-backed sweep should save nothing: $out" ;;
 esac
+case "$out" in
+  *"schedule cache:"*" 0 schedule builds"*) ;;
+  *) fail "a preloaded sweep should build no schedule (promotions are not builds): $out" ;;
+esac
 echo "$out" > "$tmpdir/warmstore.txt"
 if ! diff <(store_filter "$tmpdir/warmstore.txt") <(store_filter "$tmpdir/nostore.txt") >/dev/null
 then
@@ -390,6 +394,24 @@ if ! diff <(store_filter "$tmpdir/corruptstore.txt") <(store_filter "$tmpdir/nos
     >/dev/null; then
   fail "sweep over a corrupted store should still print the storeless tables"
 fi
+
+# A classify-only sweep repairs a damaged entry: the rerun rejects it,
+# compiles and overwrites it, and the next rerun loads every entry.
+repair_flags="--workload=random:n=10,p=0.3,sigma=3 --count=5 --protocol=classify --threads=1 --seed=3"
+"$cli" sweep $repair_flags --store="$tmpdir/repair" >/dev/null 2>&1 ||
+  fail "classify-only store-backed sweep should exit 0"
+for entry in "$tmpdir/repair"/*.arl; do
+  printf 'x' >> "$entry"
+  break
+done
+"$cli" sweep $repair_flags --store="$tmpdir/repair" >/dev/null 2>&1 ||
+  fail "classify-only sweep over a damaged entry should exit 0"
+out=$("$cli" sweep $repair_flags --store="$tmpdir/repair" 2>&1)
+[ $? -eq 0 ] || fail "classify-only sweep over the repaired store should exit 0"
+case "$out" in
+  *"artifact store: 5 loads, 0 misses, 0 rejected"*) ;;
+  *) fail "a classify-only sweep should have rewritten the damaged entry: $out" ;;
+esac
 
 # -------------------------------------------------------- resumable sweeps
 

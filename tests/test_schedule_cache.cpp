@@ -3,7 +3,7 @@
 /// batches are bit-identical — every JobOutcome (leader, rounds,
 /// disposition) — for a seeded RandomSweep crossed with every registered
 /// protocol, across 1, 2 and 8 threads; plus the unit behaviour of the
-/// sharded LRU itself (hits, upgrades, evictions, key separation) and of
+/// sharded LRU itself (hits, compile-once reuse, evictions, key separation) and of
 /// the per-batch statistics the engine reports.
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "engine/batch_runner.hpp"
 #include "engine/schedule_cache.hpp"
 #include "engine/sweep.hpp"
+#include "support/assert.hpp"
 
 namespace {
 
@@ -36,6 +37,16 @@ engine::RandomSweep registry_sweep() {
 }
 
 constexpr engine::JobId kParityConfigurations = 12;
+
+/// A complete cache entry (classification and schedule), as every compile
+/// stores one.
+core::CompiledConfiguration compile(const config::Configuration& c, radio::ChannelModel model) {
+  core::CompiledConfiguration compiled;
+  compiled.classification = core::Classifier(model).run(c);
+  compiled.schedule = std::make_shared<const core::CanonicalSchedule>(
+      core::build_schedule(c, compiled.classification));
+  return compiled;
+}
 
 TEST(ScheduleCache, CacheOnAndCacheOffBatchesAreBitIdentical) {
   const engine::RandomSweep sweep = registry_sweep();
@@ -97,9 +108,7 @@ TEST(ScheduleCache, LookupMissesThenHitsTheStoredEntry) {
   const auto model = radio::ChannelModel::CollisionDetection;
   EXPECT_EQ(cache.lookup(c, model, false), nullptr);
 
-  core::CompiledConfiguration compiled;
-  compiled.classification = core::Classifier(model).run(c);
-  const auto stored = cache.store(c, model, false, std::move(compiled));
+  const auto stored = cache.store(c, model, false, compile(c, model));
   ASSERT_NE(stored, nullptr);
   // The hit returns the very same entry (shared, immutable), and marks it
   // most recently used.
@@ -118,74 +127,55 @@ TEST(ScheduleCache, KeysSeparateModelAndClassifierChoice) {
   // pair owns a distinct entry.
   engine::ScheduleCache cache(16);
   const config::Configuration c = config::family_h(2);
-  core::CompiledConfiguration compiled;
-  compiled.classification = core::Classifier(radio::ChannelModel::CollisionDetection).run(c);
-  (void)cache.store(c, radio::ChannelModel::CollisionDetection, false, std::move(compiled));
+  (void)cache.store(c, radio::ChannelModel::CollisionDetection, false,
+                    compile(c, radio::ChannelModel::CollisionDetection));
 
   EXPECT_NE(cache.lookup(c, radio::ChannelModel::CollisionDetection, false), nullptr);
   EXPECT_EQ(cache.lookup(c, radio::ChannelModel::NoCollisionDetection, false), nullptr);
   EXPECT_EQ(cache.lookup(c, radio::ChannelModel::CollisionDetection, true), nullptr);
 }
 
-TEST(ScheduleCache, ClassifyThenCanonicalUpgradesTheEntryInPlace) {
-  // A classify-only job caches the classification without paying for the
-  // schedule; a later canonical job on the same configuration reuses the
-  // classification, builds only the schedule, and upgrades the entry.
+TEST(ScheduleCache, ClassifyThenCanonicalCompilesOnce) {
+  // A compile stores the classification and the schedule together,
+  // whichever protocol asked: a classify-only job misses and builds the
+  // schedule (its report still drops it), and a later canonical job on the
+  // same configuration hits and runs on the very schedule object stored.
   engine::ScheduleCache cache(16);
   core::ElectionScratch scratch;
   scratch.schedule_cache = &cache;
+  const auto model = radio::ChannelModel::CollisionDetection;
   const config::Configuration c = config::family_h(2);
 
   const core::ElectionReport classify =
       core::run_protocol(c, core::ProtocolSpec::classify_only(), {}, scratch);
   EXPECT_TRUE(classify.feasible);
   EXPECT_EQ(classify.schedule, nullptr);
-  engine::ScheduleCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.schedule_builds, 0u);
-  EXPECT_EQ(stats.entries, 1u);
 
   const core::ElectionReport canonical =
       core::run_protocol(c, core::ProtocolSpec::canonical(), {}, scratch);
   EXPECT_TRUE(canonical.valid);
-  ASSERT_NE(canonical.schedule, nullptr);
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);             // the classification was reused...
-  EXPECT_EQ(stats.schedule_builds, 1u);  // ...and only the schedule was built
+  const engine::ScheduleCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.schedule_builds, 1u);
   EXPECT_EQ(stats.entries, 1u);
 
-  // A third run is a pure hit: same shared schedule, nothing compiled.
-  const core::ElectionReport again =
-      core::run_protocol(c, core::ProtocolSpec::canonical(), {}, scratch);
-  EXPECT_EQ(again.schedule, canonical.schedule);
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.schedule_builds, 1u);
+  const auto entry = cache.lookup(c, model, false);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->schedule, nullptr);
+  EXPECT_EQ(canonical.schedule, entry->schedule);
 }
 
-TEST(ScheduleCache, ClassifyOnlyStoreNeverDowngradesAFullEntry) {
-  // The racing-worker interleaving: a classify-only compile stored after a
-  // full compile of the same key must keep the schedule the entry already
-  // holds, not discard it.
+TEST(ScheduleCache, StoreRejectsAnEntryWithoutASchedule) {
   engine::ScheduleCache cache(16);
   const auto model = radio::ChannelModel::CollisionDetection;
   const config::Configuration c = config::family_h(2);
-
-  core::CompiledConfiguration full;
-  full.classification = core::Classifier(model).run(c);
-  full.schedule = core::make_schedule(c, model);
-  const auto stored = cache.store(c, model, false, std::move(full));
-  ASSERT_NE(stored->schedule, nullptr);
-
-  core::CompiledConfiguration classify_only;
-  classify_only.classification = core::Classifier(model).run(c);
-  const auto kept = cache.store(c, model, false, std::move(classify_only));
-  EXPECT_EQ(kept, stored);  // the more complete artifacts survived
-
-  const auto hit = cache.lookup(c, model, false);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->schedule, stored->schedule);
+  core::CompiledConfiguration partial;
+  partial.classification = core::Classifier(model).run(c);
+  EXPECT_THROW((void)cache.store(c, model, false, std::move(partial)),
+               support::ContractViolation);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().schedule_builds, 0u);
 }
 
 TEST(ScheduleCache, EffectiveCapacityNeverExceedsTheRequest) {
@@ -204,12 +194,8 @@ TEST(ScheduleCache, CapacityBoundEvictsLeastRecentlyUsed) {
   const config::Configuration a = config::family_h(2);
   const config::Configuration b = config::family_s(2);
 
-  core::CompiledConfiguration compiled_a;
-  compiled_a.classification = core::Classifier(model).run(a);
-  (void)cache.store(a, model, false, std::move(compiled_a));
-  core::CompiledConfiguration compiled_b;
-  compiled_b.classification = core::Classifier(model).run(b);
-  (void)cache.store(b, model, false, std::move(compiled_b));
+  (void)cache.store(a, model, false, compile(a, model));
+  (void)cache.store(b, model, false, compile(b, model));
 
   EXPECT_EQ(cache.lookup(a, model, false), nullptr);  // evicted by b
   EXPECT_NE(cache.lookup(b, model, false), nullptr);

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +31,7 @@
 #include "store/artifact_store.hpp"
 #include "store/tiered_cache.hpp"
 #include "support/assert.hpp"
+#include "support/hash.hpp"
 
 #include <dirent.h>
 #include <stdlib.h>
@@ -158,21 +160,18 @@ class StoreTest : public ::testing::Test {
 };
 
 /// A fully compiled entry (classification + schedule) for a configuration.
-core::CompiledConfiguration compile(const config::Configuration& c,
-                                    radio::ChannelModel model, bool with_schedule) {
+core::CompiledConfiguration compile(const config::Configuration& c, radio::ChannelModel model) {
   core::CompiledConfiguration compiled;
   compiled.classification = core::Classifier(model).run(c);
-  if (with_schedule && compiled.classification.feasible()) {
-    compiled.schedule = std::make_shared<const core::CanonicalSchedule>(
-        core::build_schedule(c, compiled.classification));
-  }
+  compiled.schedule = std::make_shared<const core::CanonicalSchedule>(
+      core::build_schedule(c, compiled.classification));
   return compiled;
 }
 
 TEST_F(StoreTest, ScheduleBearingEntryRoundTrips) {
   const config::Configuration c = config::family_g(2);
   const core::CompiledConfiguration compiled =
-      compile(c, radio::ChannelModel::CollisionDetection, true);
+      compile(c, radio::ChannelModel::CollisionDetection);
   ASSERT_NE(compiled.schedule, nullptr);
 
   store::ArtifactStore writer(dir_);
@@ -193,25 +192,11 @@ TEST_F(StoreTest, ScheduleBearingEntryRoundTrips) {
   EXPECT_EQ(reader.stats().hits, 1u);
 }
 
-TEST_F(StoreTest, ClassificationOnlyEntryRoundTrips) {
-  const config::Configuration c = config::family_s(3);  // infeasible: never a schedule
-  const core::CompiledConfiguration compiled =
-      compile(c, radio::ChannelModel::CollisionDetection, true);
-  ASSERT_EQ(compiled.schedule, nullptr);
-
-  store::ArtifactStore store(dir_);
-  store.save(c, radio::ChannelModel::CollisionDetection, false, compiled);
-  const auto loaded = store.load(c, radio::ChannelModel::CollisionDetection, false);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->classification, compiled.classification);
-  EXPECT_EQ(loaded->schedule, nullptr);
-}
-
 TEST_F(StoreTest, KeySeparatesModelAndClassifierFlavor) {
   const config::Configuration c = config::family_h(2);
   store::ArtifactStore store(dir_);
   store.save(c, radio::ChannelModel::CollisionDetection, false,
-             compile(c, radio::ChannelModel::CollisionDetection, false));
+             compile(c, radio::ChannelModel::CollisionDetection));
 
   // Same configuration under the other model / the fast classifier: misses.
   EXPECT_EQ(store.load(c, radio::ChannelModel::NoCollisionDetection, false), nullptr);
@@ -232,7 +217,7 @@ TEST_F(StoreTest, EveryTruncationReadsAsAMiss) {
   const config::Configuration c = config::family_g(2);
   store::ArtifactStore store(dir_);
   store.save(c, radio::ChannelModel::CollisionDetection, false,
-             compile(c, radio::ChannelModel::CollisionDetection, true));
+             compile(c, radio::ChannelModel::CollisionDetection));
   const std::string path = store.entry_path(c, radio::ChannelModel::CollisionDetection, false);
 
   std::string bytes;
@@ -265,7 +250,7 @@ TEST_F(StoreTest, EveryFlippedByteReadsAsAMiss) {
   const config::Configuration c = config::family_h(3);
   store::ArtifactStore store(dir_);
   store.save(c, radio::ChannelModel::CollisionDetection, false,
-             compile(c, radio::ChannelModel::CollisionDetection, true));
+             compile(c, radio::ChannelModel::CollisionDetection));
   const std::string path = store.entry_path(c, radio::ChannelModel::CollisionDetection, false);
 
   std::string bytes;
@@ -302,9 +287,9 @@ TEST_F(StoreTest, SwappedEntryFilesReadAsMisses) {
   const config::Configuration c2 = config::family_h(2);
   store::ArtifactStore store(dir_);
   store.save(c1, radio::ChannelModel::CollisionDetection, false,
-             compile(c1, radio::ChannelModel::CollisionDetection, true));
+             compile(c1, radio::ChannelModel::CollisionDetection));
   store.save(c2, radio::ChannelModel::CollisionDetection, false,
-             compile(c2, radio::ChannelModel::CollisionDetection, true));
+             compile(c2, radio::ChannelModel::CollisionDetection));
   const std::string p1 = store.entry_path(c1, radio::ChannelModel::CollisionDetection, false);
   const std::string p2 = store.entry_path(c2, radio::ChannelModel::CollisionDetection, false);
   const std::string held = p1 + ".held";
@@ -332,88 +317,136 @@ TEST_F(StoreTest, TmpResidueIsInvisibleAndOverwritable) {
   EXPECT_EQ(store.stats().misses, 1u);
 
   store.save(c, radio::ChannelModel::CollisionDetection, false,
-             compile(c, radio::ChannelModel::CollisionDetection, true));
+             compile(c, radio::ChannelModel::CollisionDetection));
   EXPECT_NE(store.load(c, radio::ChannelModel::CollisionDetection, false), nullptr);
 }
 
-TEST_F(StoreTest, ClassificationOnlySaveNeverDowngradesASchedule) {
+TEST_F(StoreTest, SaveRejectsAnEntryWithoutASchedule) {
   const config::Configuration c = config::family_g(2);
-  const core::CompiledConfiguration full =
-      compile(c, radio::ChannelModel::CollisionDetection, true);
-  const core::CompiledConfiguration classify_only =
-      compile(c, radio::ChannelModel::CollisionDetection, false);
-  ASSERT_NE(full.schedule, nullptr);
-  ASSERT_EQ(classify_only.schedule, nullptr);
-
+  const radio::ChannelModel model = radio::ChannelModel::CollisionDetection;
+  core::CompiledConfiguration partial;
+  partial.classification = core::Classifier(model).run(c);
   store::ArtifactStore store(dir_);
-  store.save(c, radio::ChannelModel::CollisionDetection, false, full);
-  store.save(c, radio::ChannelModel::CollisionDetection, false, classify_only);
-  EXPECT_EQ(store.stats().saves, 1u);
-  EXPECT_EQ(store.stats().skipped, 1u);
-
-  const auto loaded = store.load(c, radio::ChannelModel::CollisionDetection, false);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_NE(loaded->schedule, nullptr) << "schedule-bearing entry was downgraded";
+  EXPECT_THROW(store.save(c, model, false, partial), support::ContractViolation);
+  EXPECT_TRUE(entry_files().empty());
+  EXPECT_TRUE(tmp_files().empty());
 }
 
-TEST_F(StoreTest, ScheduleBearingSaveUpgradesAClassificationOnlyEntry) {
-  const config::Configuration c = config::family_g(2);
-  store::ArtifactStore store(dir_);
-  store.save(c, radio::ChannelModel::CollisionDetection, false,
-             compile(c, radio::ChannelModel::CollisionDetection, false));
-  {
-    const auto loaded = store.load(c, radio::ChannelModel::CollisionDetection, false);
-    ASSERT_NE(loaded, nullptr);
-    EXPECT_EQ(loaded->schedule, nullptr);
-  }
-  store.save(c, radio::ChannelModel::CollisionDetection, false,
-             compile(c, radio::ChannelModel::CollisionDetection, true));
-  const auto upgraded = store.load(c, radio::ChannelModel::CollisionDetection, false);
-  ASSERT_NE(upgraded, nullptr);
-  EXPECT_NE(upgraded->schedule, nullptr);
-  EXPECT_EQ(store.stats().saves, 2u);
-}
-
-TEST_F(StoreTest, RacingSavesNeverDowngradeAScheduleOnDisk) {
-  // Classification-only and schedule-bearing saves of one key race from
-  // several threads.  Whatever the interleaving, the entry left on disk must
-  // carry the schedule: a classification-only save that checked before the
-  // schedule landed must not publish over it afterwards.
+TEST_F(StoreTest, SameKeySavesAndLoadsRaceSafely) {
+  // Saves and loads of one key race from several threads, starting from an
+  // empty directory each round.  Every save publishes the same complete
+  // bytes by rename, so a load sees either no entry yet or a verified
+  // complete one — never a torn, rejected or schedule-less file — and no
+  // tmp file outlives a save.
   constexpr int kRounds = 64;
   constexpr int kThreads = 4;
   const config::Configuration c = config::family_g(2);
   const radio::ChannelModel model = radio::ChannelModel::CollisionDetection;
-  const core::CompiledConfiguration full = compile(c, model, true);
-  const core::CompiledConfiguration classify_only = compile(c, model, false);
-  ASSERT_NE(full.schedule, nullptr);
+  const core::CompiledConfiguration full = compile(c, model);
+  const std::string schedule_text = core::schedule_to_text_string(*full.schedule);
 
   store::ArtifactStore store(dir_);
   const std::string path = store.entry_path(c, model, false);
+  std::atomic<int> loads{0};
+  std::atomic<int> wrong_loads{0};
   for (int round = 0; round < kRounds; ++round) {
     std::remove(path.c_str());
     std::atomic<int> ready{0};
-    std::vector<std::thread> savers;
+    std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
-      savers.emplace_back([&, t]() {
+      workers.emplace_back([&, t]() {
+        const auto load = [&]() {
+          loads.fetch_add(1);
+          const auto loaded = store.load(c, model, false);
+          if (loaded != nullptr &&
+              (loaded->classification != full.classification || loaded->schedule == nullptr ||
+               core::schedule_to_text_string(*loaded->schedule) != schedule_text)) {
+            wrong_loads.fetch_add(1);
+          }
+        };
         ready.fetch_add(1);
         while (ready.load() < kThreads) {
           std::this_thread::yield();
         }
-        store.save(c, model, false, t % 2 == 0 ? classify_only : full);
+        // Half the threads load before they save, so loads meet an empty
+        // directory, a publish in flight and a finished entry alike.
+        if (t % 2 == 0) {
+          load();
+        }
+        store.save(c, model, false, full);
+        load();
       });
     }
-    for (std::thread& saver : savers) {
-      saver.join();
+    for (std::thread& worker : workers) {
+      worker.join();
     }
-    store::ArtifactStore reader(dir_);
-    const auto loaded = reader.load(c, model, false);
-    ASSERT_NE(loaded, nullptr) << "round " << round;
-    ASSERT_NE(loaded->schedule, nullptr) << "round " << round << ": entry was downgraded";
+    ASSERT_TRUE(tmp_files().empty()) << "round " << round;
   }
+  EXPECT_EQ(wrong_loads.load(), 0);
   const store::ArtifactStoreStats stats = store.stats();
+  EXPECT_EQ(stats.saves + stats.errors, std::uint64_t{kRounds} * kThreads);
   EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(stats.saves + stats.skipped, std::uint64_t{kRounds} * kThreads);
-  EXPECT_TRUE(tmp_files().empty());
+  EXPECT_EQ(stats.skipped, 0u);
+  EXPECT_EQ(stats.rejected, 0u) << "a load saw a partial entry";
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<std::uint64_t>(loads.load()));
+  EXPECT_GE(stats.hits, std::uint64_t{kRounds} * kThreads);  // every load after a save hits
+}
+
+TEST_F(StoreTest, VersionOneEntryIsRejectedThenRewrittenAsVersionTwo) {
+  // A well-formed entry of the previous format (v1, which allowed
+  // classification-only entries: `schedule-fingerprint -`, no schedule
+  // section) reads as a rejected miss; the compile that follows the miss
+  // overwrites it with a complete v2 entry.
+  const config::Configuration c = config::family_g(2);
+  const radio::ChannelModel model = radio::ChannelModel::CollisionDetection;
+  std::string v2;
+  {
+    store::ArtifactStore writer(dir_);
+    writer.save(c, model, false, compile(c, model));
+    std::ifstream in(writer.entry_path(c, model, false), std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    v2 = buffer.str();
+  }
+  ASSERT_EQ(v2.rfind("arl-artifact 2\n", 0), 0u);
+
+  // Rebuild the v1 form: version 1 header, no schedule fingerprint or
+  // section, and the `end` digest (the format's seed) over the new body.
+  const core::ClassifierResult classification = core::Classifier(model).run(c);
+  std::ostringstream body;
+  body << "arl-artifact 1\n"
+       << v2.substr(v2.find('\n') + 1, v2.find("schedule-fingerprint ") - v2.find('\n') - 1)
+       << "schedule-fingerprint -\n";
+  config::to_text(c, body);
+  core::classification_to_text(classification, body);
+  constexpr std::uint64_t kBodyDigestSeed = 0x5704EB0D7ULL;
+  body << "end " << std::hex << std::setw(16) << std::setfill('0')
+       << support::hash_text_bulk(body.str(), kBodyDigestSeed) << '\n';
+  const std::string v1 = body.str();
+
+  store::TieredScheduleCache tiered(dir_, 64);
+  const std::string path = tiered.artifacts().entry_path(c, model, false);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << v1;
+  }
+  core::ElectionScratch scratch;
+  scratch.schedule_cache = &tiered;
+  const core::ElectionReport report =
+      core::run_protocol(c, core::ProtocolSpec::classify_only(), {}, scratch);
+  EXPECT_EQ(report.classification, classification);
+  const store::ArtifactStoreStats stats = tiered.artifacts().stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.saves, 1u);
+
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream rewritten;
+  rewritten << in.rdbuf();
+  EXPECT_EQ(rewritten.str(), v2);
+  store::ArtifactStore reader(dir_);
+  const auto loaded = reader.load(c, model, false);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_NE(loaded->schedule, nullptr);
 }
 
 TEST_F(StoreTest, StatsSinceSubtractsCounters) {
@@ -422,7 +455,7 @@ TEST_F(StoreTest, StatsSinceSubtractsCounters) {
   (void)store.load(c, radio::ChannelModel::CollisionDetection, false);
   const store::ArtifactStoreStats before = store.stats();
   store.save(c, radio::ChannelModel::CollisionDetection, false,
-             compile(c, radio::ChannelModel::CollisionDetection, false));
+             compile(c, radio::ChannelModel::CollisionDetection));
   (void)store.load(c, radio::ChannelModel::CollisionDetection, false);
   const store::ArtifactStoreStats delta = store.stats().since(before);
   EXPECT_EQ(delta.misses, 0u);
@@ -437,7 +470,7 @@ TEST_F(StoreTest, TieredLookupPromotesDiskHitsIntoMemory) {
   {
     store::ArtifactStore seed(dir_);
     seed.save(c, radio::ChannelModel::CollisionDetection, false,
-              compile(c, radio::ChannelModel::CollisionDetection, true));
+              compile(c, radio::ChannelModel::CollisionDetection));
   }
 
   store::TieredScheduleCache tiered(dir_, 64);
@@ -457,7 +490,7 @@ TEST_F(StoreTest, TieredStoreIsWriteThrough) {
   const config::Configuration c = config::family_h(2);
   store::TieredScheduleCache tiered(dir_, 64);
   (void)tiered.store(c, radio::ChannelModel::CollisionDetection, false,
-                     compile(c, radio::ChannelModel::CollisionDetection, true));
+                     compile(c, radio::ChannelModel::CollisionDetection));
   EXPECT_EQ(tiered.artifacts().stats().saves, 1u);
 
   // A brand-new tiered cache over the same directory (fresh process) finds
@@ -508,6 +541,8 @@ TEST_F(StoreTest, StoreOnColdWarmAndOffBatchesAreBitIdentical) {
   ASSERT_TRUE(warm.artifact_store.has_value());
   EXPECT_GT(warm.artifact_store->hits, 0u);
   EXPECT_EQ(warm.artifact_store->saves, 0u) << "a warm run recompiled something";
+  ASSERT_TRUE(warm.cache.has_value());
+  EXPECT_EQ(warm.cache->schedule_builds, 0u) << "disk promotions counted as builds";
 
   EXPECT_EQ(cold.jobs, off.jobs);
   EXPECT_EQ(warm.jobs, off.jobs);
