@@ -1,10 +1,9 @@
 /// \file bench_obs.cpp
 /// E8 — observability overhead: the same classification+election sweep runs
-/// with the metrics registry enabled (the default) and disabled.  Each arm
-/// times kSweepsPerArm back-to-back sweeps, the two arms alternating sweep
-/// by sweep, and every sweep is the best of five interleaved passes; an
-/// arm's time is the sum, a few hundred milliseconds of work taken from the
-/// same stretch of machine load.  The tracked perf invariant is the on/off
+/// with the metrics registry enabled (the default) and disabled.  The two
+/// arms run kPairs times back to back, one sweep each, swapping which goes
+/// first every pair, so each pair shares one stretch of machine load.  The
+/// tracked perf invariant is the median over the pairs of the on/off
 /// throughput ratio (BENCH_E8.json, gated in CI by tools/bench_gate with
 /// --tolerance=0.03): instrumentation may cost at most the gate tolerance.
 /// The instrumented pass also pins down the phase span *counts*, which are
@@ -12,10 +11,9 @@
 /// gated; wall times are machine facts, printed but not gated.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iostream>
-#include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,11 +32,12 @@ using namespace arl;
 constexpr const char* kWorkload = "random:n=24,p=0.25,sigma=6";
 constexpr std::uint64_t kCount = 300;  // configurations
 constexpr std::uint64_t kSeed = 9;
-constexpr int kRepeats = 5;  // best-of per mode, arms interleaved
 // One sweep takes ~13 ms (4-core shared x86 host), too short for a 0.03
-// gate: best-of-5 single sweeps read on/off ratios of 0.88-1.21 there.
-// Twenty sweeps per arm make each arm ~260 ms.
-constexpr int kSweepsPerArm = 20;
+// gate on its own: best-of-5 single sweeps read on/off ratios of 0.88-1.21
+// there, and even the sum of twenty best-of-5 sweeps per arm read
+// 0.92-1.05 over 30 runs, because a minimum follows the luckiest pass.
+// The median of 100 paired ratios read 0.982-1.001 over the same 30 runs.
+constexpr std::size_t kPairs = 100;
 
 engine::CountedSweep e8_sweep() {
   return engine::parse_workload(kWorkload).instantiate(
@@ -50,6 +49,13 @@ engine::BatchOptions e8_options() {
   options.threads = 1;  // timings compare instrumentation, not pool sizes
   options.seed = kSeed;
   return options;
+}
+
+/// The upper median (the sample at index size/2 in sorted order).
+double median(std::vector<double> values) {
+  const auto middle = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), middle, values.end());
+  return *middle;
 }
 
 /// One timed sweep under the given registry mode; `out` receives the run's
@@ -70,24 +76,20 @@ void print_e8_table() {
   // Warm-up (page cache, allocator) outside both timed arms.
   (void)timed_sweep(runner, sweep, true, on_report);
 
-  // The arms alternate sweep by sweep, and swap which goes first, so slow
-  // drift on a shared machine (CPU frequency, background load) hits both
-  // equally; best-of-kRepeats per sweep then drops a descheduling that
-  // lands in one arm's sweep.
-  std::vector<double> off_best(kSweepsPerArm, std::numeric_limits<double>::infinity());
-  std::vector<double> on_best(kSweepsPerArm, std::numeric_limits<double>::infinity());
-  for (int repeat = 0; repeat < kRepeats; ++repeat) {
-    for (int run = 0; run < kSweepsPerArm; ++run) {
-      for (const bool metrics_on : {run % 2 == 0, run % 2 != 0}) {
-        double& best = (metrics_on ? on_best : off_best)[static_cast<std::size_t>(run)];
-        best = std::min(best, timed_sweep(runner, sweep, metrics_on,
-                                          metrics_on ? on_report : off_report));
-      }
+  // Slow drift on a shared machine (CPU frequency, background load) hits
+  // both sweeps of a pair alike and cancels in its ratio; the median then
+  // drops the pairs in which one sweep was descheduled.
+  std::vector<double> off_ms(kPairs);
+  std::vector<double> on_ms(kPairs);
+  std::vector<double> ratios(kPairs);
+  for (std::size_t pair = 0; pair < kPairs; ++pair) {
+    for (const bool metrics_on : {pair % 2 == 0, pair % 2 != 0}) {
+      (metrics_on ? on_ms : off_ms)[pair] =
+          timed_sweep(runner, sweep, metrics_on, metrics_on ? on_report : off_report);
     }
+    ratios[pair] = on_ms[pair] > 0.0 ? off_ms[pair] / on_ms[pair] : 1.0;
   }
   obs::Registry::global().set_enabled(true);  // restore the process default
-  const double off_ms = std::accumulate(off_best.begin(), off_best.end(), 0.0);
-  const double on_ms = std::accumulate(on_best.begin(), on_best.end(), 0.0);
 
   const bool identical = engine::same_results(on_report, off_report);
   if (!on_report.phases || off_report.phases) {
@@ -95,23 +97,25 @@ void print_e8_table() {
         "bench_obs: expected phase timings exactly on the instrumented run");
   }
   const obs::MetricsSnapshot& phases = *on_report.phases;
-  const double raw_speedup = on_ms > 0.0 ? off_ms / on_ms : 1.0;
+  const double raw_speedup = median(ratios);
   // The committed invariant is "metrics cost at most the gate tolerance",
   // not "this machine ran faster with metrics on today" — clamp the gated
   // ratio at 1.0 so a lucky committed run cannot tighten the gate.
   const double gated_speedup = std::min(raw_speedup, 1.0);
 
-  const std::uint64_t arm_jobs = kSweepsPerArm * on_report.jobs.size();
-  support::Table table({"mode", "wall ms (sum of best-of-5 sweeps)", "jobs", "jobs/s"});
+  const std::uint64_t jobs = on_report.jobs.size();
+  const double off_median_ms = median(off_ms);
+  const double on_median_ms = median(on_ms);
+  support::Table table({"mode", "wall ms (median sweep)", "jobs", "jobs/s"});
   const auto row = [&](const std::string& mode, double ms) {
-    table.add_row({mode, ms, static_cast<std::int64_t>(arm_jobs),
-                   static_cast<double>(arm_jobs) / (ms / 1e3)});
+    table.add_row({mode, ms, static_cast<std::int64_t>(jobs),
+                   static_cast<double>(jobs) / (ms / 1e3)});
   };
-  row("metrics off", off_ms);
-  row("metrics on", on_ms);
+  row("metrics off", off_median_ms);
+  row("metrics on", on_median_ms);
   benchsupport::print_table("E8: observability overhead (" + std::string(kWorkload) + " x " +
                                 std::to_string(kCount) + ", canonical, " +
-                                std::to_string(kSweepsPerArm) + " sweeps per arm)",
+                                std::to_string(kPairs) + " interleaved pairs)",
                             table);
 
   support::Table spans({"phase", "spans", "total ms"});
@@ -138,9 +142,9 @@ void print_e8_table() {
   snapshot.add("e8_phase_schedule_compile_count", phases[obs::Phase::ScheduleCompile].count());
   snapshot.add("e8_phase_simulate_count", phases[obs::Phase::Simulate].count());
   snapshot.add("e8_metrics_on_speedup", gated_speedup);
-  snapshot.add("on_wall_ms", on_ms);
-  snapshot.add("off_wall_ms", off_ms);
-  snapshot.add("on_jobs_per_s", static_cast<double>(arm_jobs) / (on_ms / 1e3));
+  snapshot.add("on_wall_ms", on_median_ms);
+  snapshot.add("off_wall_ms", off_median_ms);
+  snapshot.add("on_jobs_per_s", static_cast<double>(jobs) / (on_median_ms / 1e3));
   snapshot.write("BENCH_E8.json");
 }
 

@@ -12,12 +12,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "bench_common.hpp"
 #include "core/classifier.hpp"
+#include "core/schedule.hpp"
 #include "engine/batch_runner.hpp"
 #include "engine/workload.hpp"
 #include "store/artifact_store.hpp"
@@ -146,11 +148,20 @@ void print_e7_table() {
 
 // ------------------------------------------------------- timed micro-series
 
+/// A complete entry, as every production save writes: the classification
+/// plus the canonical schedule compiled from it.
+core::CompiledConfiguration complete_entry(const config::Configuration& configuration) {
+  core::CompiledConfiguration compiled;
+  compiled.classification = core::Classifier().run(configuration);
+  compiled.schedule = std::make_shared<const core::CanonicalSchedule>(
+      core::build_schedule(configuration, compiled.classification));
+  return compiled;
+}
+
 void BM_StoreSave(benchmark::State& state) {
   const engine::CountedSweep sweep = e7_sweep();
   const engine::BatchJob job = sweep.source(0);
-  core::CompiledConfiguration compiled;
-  compiled.classification = core::Classifier().run(job.configuration);
+  const core::CompiledConfiguration compiled = complete_entry(job.configuration);
   BenchStore store;
   store::ArtifactStore artifacts(store.dir);
   for (auto _ : state) {
@@ -162,8 +173,7 @@ BENCHMARK(BM_StoreSave)->Unit(benchmark::kMicrosecond);
 void BM_StoreLoad(benchmark::State& state) {
   const engine::CountedSweep sweep = e7_sweep();
   const engine::BatchJob job = sweep.source(0);
-  core::CompiledConfiguration compiled;
-  compiled.classification = core::Classifier().run(job.configuration);
+  const core::CompiledConfiguration compiled = complete_entry(job.configuration);
   BenchStore store;
   store::ArtifactStore artifacts(store.dir);
   artifacts.save(job.configuration, radio::ChannelModel::CollisionDetection, false, compiled);
