@@ -2,9 +2,9 @@
 /// E1 (Theorem 3.17) + E2 (Lemma 3.5): Classifier correctness agreement and
 /// O(n³Δ) scaling.
 ///
-/// Table 1 — agreement: paper Classifier vs FastClassifier vs canonical-DRIP
-/// simulation over exhaustive small configurations (the bench-time version
-/// of tests/test_exhaustive.cpp).
+/// Table 1 — agreement: Classifier vs canonical-DRIP simulation over
+/// exhaustive small configurations (the bench-time version of
+/// tests/test_exhaustive.cpp).
 /// Table 2 — scaling: measured time and instrumented step counts against the
 /// n³Δ envelope on paths (Δ=2) and complete graphs (Δ=n-1).
 
@@ -13,7 +13,6 @@
 #include "bench_common.hpp"
 #include "config/families.hpp"
 #include "core/election.hpp"
-#include "core/fast_classifier.hpp"
 #include "graph/enumeration.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
@@ -24,11 +23,10 @@ namespace {
 using namespace arl;
 
 void print_agreement_table() {
-  support::Table table({"n", "configs (graphs x tags)", "classifier==fast", "simulation valid",
-                        "feasible", "feasible %"});
+  support::Table table(
+      {"n", "configs (graphs x tags)", "simulation valid", "feasible", "feasible %"});
   for (graph::NodeId n = 1; n <= 4; ++n) {
     std::uint64_t configs = 0;
-    std::uint64_t agree = 0;
     std::uint64_t valid = 0;
     std::uint64_t feasible = 0;
     graph::for_each_connected_graph(n, [&](const graph::Graph& g) {
@@ -36,9 +34,6 @@ void print_agreement_table() {
       for (;;) {
         const config::Configuration c(g, tags);
         ++configs;
-        const auto paper = core::Classifier{}.run(c);
-        const auto fast = core::FastClassifier{}.run(c);
-        agree += (paper.verdict == fast.verdict && paper.leader == fast.leader) ? 1 : 0;
         const auto report = core::elect(c);
         valid += report.valid ? 1 : 0;
         feasible += report.feasible ? 1 : 0;
@@ -54,7 +49,7 @@ void print_agreement_table() {
       }
     });
     table.add_row({static_cast<std::int64_t>(n), static_cast<std::int64_t>(configs),
-                   static_cast<std::int64_t>(agree), static_cast<std::int64_t>(valid),
+                   static_cast<std::int64_t>(valid),
                    static_cast<std::int64_t>(feasible),
                    100.0 * static_cast<double>(feasible) / static_cast<double>(configs)});
   }
@@ -130,16 +125,6 @@ void BM_ClassifierOnComplete(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClassifierOnComplete)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_FastClassifierOnFamilyG(benchmark::State& state) {
-  const auto m = static_cast<config::Tag>(state.range(0));
-  const config::Configuration c = config::family_g(m);
-  for (auto _ : state) {
-    const auto result = core::FastClassifier{}.run(c);
-    benchmark::DoNotOptimize(result.verdict);
-  }
-}
-BENCHMARK(BM_FastClassifierOnFamilyG)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 }  // namespace
 

@@ -11,7 +11,7 @@
 #include "bench_common.hpp"
 #include "config/families.hpp"
 #include "config/mutations.hpp"
-#include "core/fast_classifier.hpp"
+#include "core/classifier.hpp"
 #include "engine/batch_runner.hpp"
 #include "engine/workload.hpp"
 #include "graph/generators.hpp"
@@ -21,17 +21,10 @@ namespace {
 
 using namespace arl;
 
-core::ElectionOptions fast_classify_options() {
-  core::ElectionOptions options;
-  options.use_fast_classifier = true;
-  return options;
-}
-
 double feasibility_rate(graph::NodeId n, config::Tag sigma, double p, std::size_t samples,
                         engine::BatchRunner& runner) {
   engine::WorkloadSpec workload = engine::WorkloadSpec::random(n, p, sigma);
   workload.exact = false;  // uniform tags in [0, sigma], as in the seed experiment
-  workload.fast = true;
   const std::uint64_t seed = 0xFEA51B1E ^ (static_cast<std::uint64_t>(n) << 32) ^
                              (static_cast<std::uint64_t>(sigma) << 16) ^
                              static_cast<std::uint64_t>(p * 1000);
@@ -47,8 +40,7 @@ engine::BatchReport classify_all(engine::BatchRunner& runner,
   std::vector<engine::BatchJob> jobs;
   jobs.reserve(configurations.size());
   for (auto& configuration : configurations) {
-    jobs.push_back(
-        {std::move(configuration), core::ProtocolSpec::classify_only(), fast_classify_options()});
+    jobs.push_back({std::move(configuration), core::ProtocolSpec::classify_only(), {}});
   }
   return runner.run(jobs);
 }
@@ -97,7 +89,7 @@ void print_tables() {
       for (int i = 0; i < kConfigs; ++i) {
         const config::Configuration c =
             config::random_tags(graph::gnp_connected(n, 0.3, rng), 2, rng);
-        const bool feasible = core::FastClassifier{}.run(c).feasible();
+        const bool feasible = core::Classifier{}.run(c).feasible();
         const engine::BatchReport mutated = classify_all(runner, config::all_tag_mutations(c, 2));
         const auto mutations = static_cast<std::uint64_t>(mutated.jobs.size());
         if (feasible) {
@@ -144,7 +136,7 @@ void BM_FeasibilitySample(benchmark::State& state) {
   for (auto _ : state) {
     const config::Configuration c =
         config::random_tags(graph::gnp_connected(n, 0.3, rng), 2, rng);
-    feasible += core::FastClassifier{}.run(c).feasible() ? 1 : 0;
+    feasible += core::Classifier{}.run(c).feasible() ? 1 : 0;
   }
   benchmark::DoNotOptimize(feasible);
 }
@@ -154,7 +146,7 @@ void BM_FeasibilityBatch(benchmark::State& state) {
   // Classify-only batch throughput through the engine.
   const auto n = static_cast<graph::NodeId>(state.range(0));
   constexpr engine::JobId kCount = 64;
-  engine::WorkloadSpec workload = engine::parse_workload("random:sigma=2,exact=0,fast=1");
+  engine::WorkloadSpec workload = engine::parse_workload("random:sigma=2,exact=0");
   workload.nodes = n;
   const engine::CountedSweep sweep = workload.instantiate(
       99 + n, {core::ProtocolSpec::classify_only()}, {.count = kCount});

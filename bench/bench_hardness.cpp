@@ -9,7 +9,7 @@
 
 #include "bench_common.hpp"
 #include "config/families.hpp"
-#include "core/fast_classifier.hpp"
+#include "core/classifier.hpp"
 #include "graph/generators.hpp"
 #include "lowerbounds/hardness.hpp"
 #include "support/rng.hpp"
@@ -28,7 +28,7 @@ void print_tables() {
       std::int64_t gm_iterations = 0;
       if ((n - 1) % 4 == 0 && (n - 1) / 4 >= 2) {
         gm_iterations = static_cast<std::int64_t>(
-            core::FastClassifier{}.run(config::family_g((n - 1) / 4)).iterations);
+            core::Classifier{}.run(config::family_g((n - 1) / 4)).iterations);
       }
       table.add_row({static_cast<std::int64_t>(n),
                      static_cast<std::int64_t>(hardest.iterations), gm_iterations,

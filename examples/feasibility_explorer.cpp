@@ -6,9 +6,9 @@
 /// Classifier runs in polynomial time, so millions of configurations are
 /// cheap).  Part 2 estimates feasibility rates for larger random networks
 /// across a span sweep.  Both parts are plain workload-registry specs —
-/// `exhaustive:n=N,tau=T,fast=1` and `random:n=N,p=X,sigma=S,fast=1` —
-/// instantiated and handed to the batch election engine, which fans the
-/// work out over all cores.
+/// `exhaustive:n=N,tau=T` and `random:n=N,p=X,sigma=S` — instantiated and
+/// handed to the batch election engine, which fans the work out over all
+/// cores.
 ///
 /// Usage: feasibility_explorer [--max-n=4] [--max-tag=2] [--samples=500]
 ///                             [--random-n=20] [--p=0.3]
@@ -32,8 +32,7 @@ void exhaustive_census(std::uint32_t max_n, std::uint32_t max_tag) {
   for (std::uint32_t n = 1; n <= max_n; ++n) {
     // Self-counting lazy workload: only the graphs are materialized, so a
     // large census never holds more than one configuration per worker.
-    engine::WorkloadSpec census = engine::WorkloadSpec::exhaustive(n, max_tag);
-    census.fast = true;
+    const engine::WorkloadSpec census = engine::WorkloadSpec::exhaustive(n, max_tag);
     const engine::CountedSweep sweep =
         census.instantiate(0, {core::ProtocolSpec::classify_only()});
     const engine::BatchReport report = runner.run(sweep.count, sweep.source);
@@ -58,8 +57,7 @@ void random_survey(std::uint32_t n, double p, std::size_t samples) {
   support::Table table({"sigma", "feasible %", "avg iterations"});
   table.set_precision(3);
   for (const std::uint32_t sigma : {1u, 2u, 3u, 5u, 8u, 13u}) {
-    engine::WorkloadSpec survey = engine::WorkloadSpec::random(n, p, sigma);
-    survey.fast = true;
+    const engine::WorkloadSpec survey = engine::WorkloadSpec::random(n, p, sigma);
     const engine::CountedSweep sweep = survey.instantiate(
         0xCAFE + sigma, {core::ProtocolSpec::classify_only()}, {.count = samples});
     const engine::BatchReport report = runner.run(sweep.count, sweep.source);

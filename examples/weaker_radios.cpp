@@ -14,8 +14,8 @@
 #include <iostream>
 
 #include "config/families.hpp"
+#include "core/classifier.hpp"
 #include "core/election.hpp"
-#include "core/fast_classifier.hpp"
 #include "graph/enumeration.hpp"
 #include "graph/generators.hpp"
 #include "support/cli.hpp"
@@ -28,9 +28,9 @@ using namespace arl;
 void witness() {
   std::cout << "== A witness: K_{1,3} with tags 0,1,1,0 ==\n\n";
   const config::Configuration c(graph::star(4), {0, 1, 1, 0});
-  const bool cd = core::FastClassifier{}.run(c).feasible();
+  const bool cd = core::Classifier{}.run(c).feasible();
   const bool nocd =
-      core::FastClassifier(radio::ChannelModel::NoCollisionDetection).run(c).feasible();
+      core::Classifier(radio::ChannelModel::NoCollisionDetection).run(c).feasible();
   std::cout << "with collision detection:    " << (cd ? "feasible" : "infeasible") << '\n';
   std::cout << "without collision detection: " << (nocd ? "feasible" : "infeasible") << '\n';
   std::cout << "\nWhy: the two tag-1 leaves always transmit together, so the hub only\n"
@@ -52,8 +52,8 @@ void census(graph::NodeId max_n) {
       for (;;) {
         const config::Configuration c(g, tags);
         ++configs;
-        cd_count += core::FastClassifier{}.run(c).feasible() ? 1 : 0;
-        nocd_count += core::FastClassifier(radio::ChannelModel::NoCollisionDetection)
+        cd_count += core::Classifier{}.run(c).feasible() ? 1 : 0;
+        nocd_count += core::Classifier(radio::ChannelModel::NoCollisionDetection)
                               .run(c)
                               .feasible()
                           ? 1

@@ -10,6 +10,13 @@
 /// partition, labels and class representatives; those records are exactly
 /// the list sequence L_j from which the canonical DRIP (§3.3.1) is compiled,
 /// so a "Yes" answer doubles as a constructive leader election algorithm.
+///
+/// Algorithm 2 (Refine) compares each node with the representative of every
+/// open class.  The implementation finds the same match through hashed
+/// (old class, label) buckets, O(nΔ) expected per iteration instead of
+/// O(n²Δ), and charges the step counter exactly what the comparison scan
+/// costs, so every field of the result is the paper's.  The scan itself is
+/// kept as the test oracle (tests/classifier_oracle.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -66,7 +73,8 @@ struct ClassifierResult {
   graph::NodeId leader = 0;
 
   /// Basic-operation counter (label construction + label comparisons), for
-  /// validating the O(n³Δ) bound of Lemma 3.5.
+  /// validating the O(n³Δ) bound of Lemma 3.5.  Refine is charged as
+  /// Algorithm 2's scan: 1 + min(|L_v|, |L_rep|) per node and open class.
   std::uint64_t steps = 0;
 
   friend bool operator==(const ClassifierResult& a, const ClassifierResult& b) = default;
@@ -81,7 +89,8 @@ struct ClassifierResult {
   [[nodiscard]] ClassId num_classes_after(std::uint32_t j) const;
 };
 
-/// Paper-faithful implementation of Algorithms 1-4 (rep-scan Refine).
+/// Algorithms 1-4 with a hashed Refine whose results, the step counter
+/// included, equal the paper's rep scan field for field.
 class Classifier {
  public:
   /// The paper's model has collision detection; NoCollisionDetection is the

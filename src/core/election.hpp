@@ -56,7 +56,8 @@ enum class Disposition : std::uint8_t {
 
 /// Knobs for elect().
 struct ElectionOptions {
-  /// Use the hashed FastClassifier instead of the paper-faithful Classifier.
+  /// Read by nothing: there is one Classifier.  Kept only while the frozen
+  /// sweep benchmark (perfbench/) still compiles against it.
   bool use_fast_classifier = false;
 
   /// Channel feedback strength, applied consistently to the classification
@@ -139,6 +140,11 @@ struct CompiledConfiguration {
 /// entries (schedule included), so every entry of a key holds the same
 /// artifacts and a racing store may simply replace another.  Both calls must
 /// be safe from concurrent worker threads.
+///
+/// There is one classifier: the pipeline always passes fast_classifier =
+/// false.  The bit stays in the key, so existing keys keep their bytes, until
+/// the frozen sweep benchmark (perfbench/), which passes it too, is
+/// re-frozen.
 class ScheduleCacheHandle {
  public:
   virtual ~ScheduleCacheHandle() = default;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file partition.hpp
-/// Shared helpers of the two Classifier implementations: the label
+/// Helpers shared by the Classifier and its rep-scan test oracle: the label
 /// computation from Algorithm 3 (Partitioner, lines 1-22) and partition
 /// inspection utilities.
 

@@ -10,7 +10,6 @@
 #include "baselines/binary_search.hpp"
 #include "baselines/randomized.hpp"
 #include "baselines/tree_split.hpp"
-#include "core/fast_classifier.hpp"
 #include "obs/metrics.hpp"
 #include "support/assert.hpp"
 #include "support/parse.hpp"
@@ -101,9 +100,7 @@ CompiledConfiguration compile(const config::Configuration& configuration,
   CompiledConfiguration compiled;
   {
     const obs::PhaseTimer span(obs::Phase::Classify);
-    compiled.classification = options.use_fast_classifier
-                                  ? FastClassifier(options.channel_model).run(configuration)
-                                  : Classifier(options.channel_model).run(configuration);
+    compiled.classification = Classifier(options.channel_model).run(configuration);
   }
   const obs::PhaseTimer span(obs::Phase::ScheduleCompile);
   compiled.schedule = std::make_shared<const CanonicalSchedule>(
@@ -114,18 +111,18 @@ CompiledConfiguration compile(const config::Configuration& configuration,
 /// The key's compiled artifacts through the scratch's schedule cache: a hit
 /// reuses them, a miss compiles and stores them.  They are a pure function
 /// of the key, so the returned entry is bit-identical to a fresh compile
-/// (asserted by tests/test_schedule_cache.cpp).
+/// (asserted by tests/test_schedule_cache.cpp).  There is one classifier, so
+/// the keys' classifier bit is always false, which keeps entry keys stable.
 std::shared_ptr<const CompiledConfiguration> classify_and_compile(
     const config::Configuration& configuration, const ElectionOptions& options,
     ScheduleCacheHandle& cache) {
   {
     const obs::PhaseTimer span(obs::Phase::CacheLookup);
-    if (auto compiled =
-            cache.lookup(configuration, options.channel_model, options.use_fast_classifier)) {
+    if (auto compiled = cache.lookup(configuration, options.channel_model, false)) {
       return compiled;
     }
   }
-  return cache.store(configuration, options.channel_model, options.use_fast_classifier,
+  return cache.store(configuration, options.channel_model, false,
                      compile(configuration, options));
 }
 

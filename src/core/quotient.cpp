@@ -1,6 +1,6 @@
 #include "core/quotient.hpp"
 
-#include "core/fast_classifier.hpp"
+#include "core/classifier.hpp"
 #include "support/assert.hpp"
 
 namespace arl::core {
@@ -50,7 +50,7 @@ SymmetryReport analyze_symmetry(const config::Configuration& configuration,
 }
 
 SymmetryReport analyze_symmetry(const config::Configuration& configuration) {
-  return analyze_symmetry(configuration, FastClassifier{}.run(configuration));
+  return analyze_symmetry(configuration, Classifier{}.run(configuration));
 }
 
 }  // namespace arl::core

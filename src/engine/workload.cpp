@@ -245,7 +245,6 @@ WorkloadSpec WorkloadSpec::mutations(WorkloadSpec base) {
   // The wrapper mirrors the base's execution identity so election_options()
   // and member-wise equality agree whichever level a caller inspects.
   spec.model = base.model;
-  spec.fast = base.fast;
   spec.base = std::make_shared<const WorkloadSpec>(std::move(base));
   return spec;
 }
@@ -253,7 +252,7 @@ WorkloadSpec WorkloadSpec::mutations(WorkloadSpec base) {
 bool operator==(const WorkloadSpec& a, const WorkloadSpec& b) {
   const auto fields = [](const WorkloadSpec& w) {
     return std::tie(w.kind, w.nodes, w.rows, w.cols, w.dimension, w.span, w.max_tag,
-                    w.edge_probability, w.exact, w.model, w.fast);
+                    w.edge_probability, w.exact, w.model);
   };
   if (fields(a) != fields(b) || (a.base == nullptr) != (b.base == nullptr)) {
     return false;
@@ -299,9 +298,6 @@ std::string WorkloadSpec::name() const {
   }
   if (model == radio::ChannelModel::NoCollisionDetection) {
     params.push_back("model=nocd");
-  }
-  if (fast) {
-    params.push_back("fast=1");
   }
   std::string out = support::kind_token(kKinds, kind);
   for (std::size_t i = 0; i < params.size(); ++i) {
@@ -362,7 +358,6 @@ core::ElectionOptions WorkloadSpec::election_options() const {
   }
   core::ElectionOptions options;
   options.channel_model = model;
-  options.use_fast_classifier = fast;
   return options;
 }
 
@@ -483,7 +478,7 @@ std::string workload_names() {
   return "random[:n=N,p=X,sigma=S,exact=0], exhaustive[:n=N,tau=T], family-g, family-h, "
          "family-s, staggered, grid[:rows=R,cols=C,sigma=S], torus[:rows=R,cols=C,sigma=S], "
          "hypercube[:d=D,sigma=S], tree[:n=N,sigma=S], single-hop[:n=N,sigma=S], "
-         "mutations:WORKLOAD; every kind also takes model=cd|nocd and fast=0|1";
+         "mutations:WORKLOAD; every kind also takes model=cd|nocd";
 }
 
 WorkloadSpec parse_workload(std::string_view text) {
@@ -550,8 +545,6 @@ WorkloadSpec parse_workload(std::string_view text) {
       } else {
         throw ContractViolation(at + " must be cd or nocd (got '" + value + "')");
       }
-    } else if (key == "fast") {
-      spec.fast = parse_flag(value, at);
     } else if (key == "n" && accepts({WorkloadKind::Random, WorkloadKind::Exhaustive,
                                       WorkloadKind::Tree, WorkloadKind::SingleHop})) {
       spec.nodes = parse_number(value, at);

@@ -21,8 +21,8 @@
 /// `w.digest()` is a canonical 64-bit digest of the spec (equal to
 /// `dist::sweep_digest(w.name())`, so it feeds `dist::SweepKey` directly).
 /// Two sweeps whose workloads differ in *any* identity-bearing field — a
-/// topology parameter, the tag span, the channel model, the classifier
-/// choice — have different names and digests, and therefore never merge.
+/// topology parameter, the tag span, the channel model — have different
+/// names and digests, and therefore never merge.
 ///
 /// Determinism contract: `instantiate(seed, ...)` produces a job stream that
 /// is a pure function of (spec, seed, protocols): configuration i is derived
@@ -85,13 +85,12 @@ struct WorkloadSpec {
   bool exact = true;              ///< span exactly σ (else tags uniform in [0, σ])
 
   // Execution identity shared by every kind: two sweeps that classify under
-  // different channel feedback or classifier implementations are different
-  // workloads and must not share a sweep digest.
+  // different channel feedback are different workloads and must not share a
+  // sweep digest.
   radio::ChannelModel model = radio::ChannelModel::CollisionDetection;
-  bool fast = false;  ///< use the hashed FastClassifier
 
   /// Mutations base workload; non-null exactly when kind == Mutations (the
-  /// wrapper mirrors the base's model/fast so election options agree).
+  /// wrapper mirrors the base's model so election options agree).
   std::shared_ptr<const WorkloadSpec> base;
 
   [[nodiscard]] static WorkloadSpec random(std::uint32_t n = 16, double p = 0.3,
@@ -113,9 +112,8 @@ struct WorkloadSpec {
   /// Registry key, round-trippable through parse_workload: the kind token
   /// followed by its parameters in canonical order ("random:n=16,p=0.3,
   /// sigma=3", "grid:rows=8,cols=8,sigma=3", "exhaustive:n=4,tau=2", bare
-  /// "family-g"/"staggered", "mutations:" + base name), with ",model=nocd",
-  /// ",fast=1" and ",exact=0" appended only when they differ from the
-  /// defaults.  Names never contain spaces, so they travel verbatim on the
+  /// "family-g"/"staggered", "mutations:" + base name), with ",model=nocd"
+  /// and ",exact=0" appended only when they differ from the defaults.  Names never contain spaces, so they travel verbatim on the
   /// shard-report wire (dist/report_io.hpp).
   [[nodiscard]] std::string name() const;
 
@@ -132,8 +130,8 @@ struct WorkloadSpec {
   /// instantiate ignores InstantiateOptions::count for these kinds.
   [[nodiscard]] bool bounded() const;
 
-  /// The election options the workload's jobs run under (channel model and
-  /// classifier choice; Mutations delegates to its base).
+  /// The election options the workload's jobs run under (the channel model;
+  /// Mutations delegates to its base).
   [[nodiscard]] core::ElectionOptions election_options() const;
 
   /// Turns the spec into the engine's job stream: `count` configurations

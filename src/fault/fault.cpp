@@ -122,27 +122,35 @@ bool FaultSpec::active() const {
 }
 
 std::string FaultSpec::name() const {
+  // Each separator and value is appended on its own: `out += ":" + value`
+  // trips GCC 12's -Wrestrict false positive inside char_traits.
   std::string out = support::kind_token(kKinds, kind);
   switch (kind) {
     case FaultKind::None:
       break;
     case FaultKind::Drop:
-      out += ":" + shortest_double(probability);
+      out += ':';
+      out += shortest_double(probability);
       if (seed_split != 0) {
-        out += "," + std::to_string(seed_split);
+        out += ',';
+        out += std::to_string(seed_split);
       }
       break;
     case FaultKind::Corrupt:
-      out += ":" + shortest_double(probability);
+      out += ':';
+      out += shortest_double(probability);
       break;
     case FaultKind::Crash:
-      out += ":" + std::to_string(crashes);
+      out += ':';
+      out += std::to_string(crashes);
       if (window != kDefaultCrashWindow) {
-        out += "," + std::to_string(window);
+        out += ',';
+        out += std::to_string(window);
       }
       break;
     case FaultKind::AdversarialWake:
-      out += ":" + std::to_string(stagger);
+      out += ':';
+      out += std::to_string(stagger);
       break;
   }
   return out;

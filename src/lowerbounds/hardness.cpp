@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/fast_classifier.hpp"
+#include "core/classifier.hpp"
 #include "support/assert.hpp"
 
 namespace arl::lowerbounds {
@@ -12,7 +12,7 @@ namespace {
 /// Evaluates one assignment; updates `best` if strictly more iterations.
 void consider(const graph::Graph& graph, const std::vector<config::Tag>& tags,
               HardnessResult& best) {
-  const auto result = core::FastClassifier{}.run(config::Configuration(graph, tags));
+  const auto result = core::Classifier{}.run(config::Configuration(graph, tags));
   ++best.evaluated;
   if (result.iterations > best.iterations) {
     best.iterations = result.iterations;
@@ -60,7 +60,7 @@ HardnessResult hardest_tags_search(const graph::Graph& graph, config::Tag max_ta
       tag = static_cast<config::Tag>(rng.below(static_cast<std::uint64_t>(max_tag) + 1));
     }
     auto score = [&](const std::vector<config::Tag>& tags) {
-      const auto result = core::FastClassifier{}.run(config::Configuration(graph, tags));
+      const auto result = core::Classifier{}.run(config::Configuration(graph, tags));
       ++best.evaluated;
       if (result.iterations > best.iterations) {
         best.iterations = result.iterations;

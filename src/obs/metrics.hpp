@@ -48,7 +48,7 @@ namespace arl::obs {
 /// The named phase spans instrumented across the stack.  Order is the
 /// presentation order of every table and snapshot.
 enum class Phase : std::uint8_t {
-  Classify,        ///< core: Classifier / FastClassifier runs
+  Classify,        ///< core: Classifier runs
   ScheduleCompile, ///< core: build_schedule
   Simulate,        ///< radio: one protocol execution on the simulator
   FaultInject,     ///< radio: fault-plan precomputation (crash schedule, stagger)

@@ -30,7 +30,9 @@
 /// Every entry is complete — classification and schedule — so every entry
 /// of a key holds the same bytes.  (Version 1 allowed classification-only
 /// entries; a v1 file is rejected like any foreign format and overwritten
-/// by the save that follows the miss.)
+/// by the save that follows the miss.)  The `fast` line and the key's
+/// classifier bit always read 0 now that there is one classifier; they stay
+/// so existing entries keep their keys and bytes.
 ///
 /// The trailing `end` digest covers every preceding byte; a load verifies
 /// it, re-parses the sections, checks the stored configuration equals the

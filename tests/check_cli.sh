@@ -123,7 +123,7 @@ done
 for value in "random:n=0" "random:p=2" "random:n=4,n=5" "random:rows=3" "grid:rows=0" \
              "torus:rows=2,cols=3" "hypercube:d=21" "exhaustive:n=9" "mutations:" \
              "mutations:bogus" "random:" "random:n=1" "tree:n=1" "single-hop:n=1" \
-             "grid:rows=1,cols=1"; do
+             "grid:rows=1,cols=1" "random:fast=1" "random:n=8,fast=0"; do
   "$cli" sweep --workload="$value" --count=1 >/dev/null 2>&1
   [ $? -eq 2 ] || fail "--workload=$value should exit 2"
 done
@@ -134,7 +134,7 @@ done
 # workload axis versus the legacy alias and execution flags (a bare flag
 # would silently override the spec's own key), and an explicit --count on
 # a workload that counts itself.
-for flag in --family=random --n=8 --sigma=2 --p=0.5 --model=nocd --fast; do
+for flag in --family=random --n=8 --sigma=2 --p=0.5 --model=nocd; do
   "$cli" sweep --workload=random $flag --count=1 >/dev/null 2>&1
   [ $? -eq 2 ] || fail "--workload with $flag should exit 2"
 done
@@ -234,7 +234,9 @@ done
 for case_ in "engine:sweep --count=1 --engine=scalar" \
              "thraeds:sweep --count=1 --thraeds=3 --bogus" \
              "engine:submit --socket=$tmpdir/none.sock --engine=scalar" \
-             "fast:elect --fast" "verbose:workloads --verbose"; do
+             "fast:elect --fast" "verbose:workloads --verbose" \
+             "fast:classify --fast" "fast:sweep --count=1 --fast" \
+             "fast:submit --socket=$tmpdir/none.sock --fast"; do
   flag=${case_%%:*}
   args=${case_#*:}
   out=$("$cli" $args 2>&1)
@@ -605,6 +607,18 @@ cmp -s "$tmpdir/trace_h2_verbose.txt" "$golden/trace_h2_verbose.txt" ||
   fail "trace on random12.cfg should exit 0"
 cmp -s "$tmpdir/trace_random12.txt" "$golden/trace_random12.txt" ||
   fail "trace on random12.cfg differs from golden/trace_random12.txt"
+# `arl classify` is pinned byte for byte under both channel models: the
+# partition, the leader and the Lemma 3.5 step counter.  g8.cfg (`arl gen
+# --family=g --m=8`) refines for 8 iterations, so a wrong refinement charge
+# moves its `steps:` line.
+for config in g8 random12; do
+  for model in cd nocd; do
+    "$cli" classify --model=$model "$golden/$config.cfg" > "$tmpdir/classify.txt" 2>&1 ||
+      fail "classify --model=$model on $config.cfg should exit 0"
+    cmp -s "$tmpdir/classify.txt" "$golden/classify_${config}_${model}.txt" ||
+      fail "classify --model=$model on $config.cfg differs from golden/classify_${config}_${model}.txt"
+  done
+done
 for config in h2 random12; do
   out=$("$cli" validate "$golden/$config.cfg" 2>&1)
   case "$out" in

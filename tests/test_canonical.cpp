@@ -254,16 +254,6 @@ TEST(Elect, ReportsAreConsistentAcrossFamilies) {
   }
 }
 
-TEST(Elect, FastClassifierPathGivesTheSameOutcome) {
-  const config::Configuration c = config::family_g(3);
-  core::ElectionOptions fast;
-  fast.use_fast_classifier = true;
-  const core::ElectionReport a = core::elect(c);
-  const core::ElectionReport b = core::elect(c, fast);
-  EXPECT_EQ(a.leader, b.leader);
-  EXPECT_EQ(a.local_rounds, b.local_rounds);
-}
-
 TEST(Elect, ClassifyOnlySkipsSimulation) {
   core::ElectionOptions options;
   options.simulate = false;

@@ -1,14 +1,20 @@
 /// \file test_classifier.cpp
 /// Tests for the Classifier (Algorithms 1-4): hand-computed partitions and
 /// labels on the paper's families, structural properties (Observation 3.2,
-/// Corollary 3.3, Lemma 3.4), and differential equality with FastClassifier.
+/// Corollary 3.3, Lemma 3.4), the Lemma 3.5 step envelope, and equality with
+/// the paper's rep-scan Refine (tests/classifier_oracle.hpp).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "classifier_oracle.hpp"
 #include "config/families.hpp"
 #include "core/classifier.hpp"
-#include "core/fast_classifier.hpp"
 #include "core/partition.hpp"
+#include "engine/workload.hpp"
+#include "graph/enumeration.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
 
@@ -209,27 +215,70 @@ TEST(Classifier, StructuralInvariantsOnFamilies) {
   expect_structural_invariants(core::Classifier{}.run(config::staggered_path(9)), 9);
 }
 
-// ----------------------------------------- differential: fast classifier
+// ----------------------------------------------------- Lemma 3.5 envelope
 
-void expect_identical_results(const core::ClassifierResult& a, const core::ClassifierResult& b) {
-  ASSERT_EQ(a.verdict, b.verdict);
-  ASSERT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.leader_class, b.leader_class);
-  EXPECT_EQ(a.leader, b.leader);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t j = 0; j < a.records.size(); ++j) {
-    EXPECT_EQ(a.records[j].clazz, b.records[j].clazz) << "iteration " << j + 1;
-    EXPECT_EQ(a.records[j].num_classes, b.records[j].num_classes);
-    EXPECT_EQ(a.records[j].reps, b.records[j].reps);
-    EXPECT_EQ(a.records[j].labels, b.records[j].labels);
+/// steps ≤ n³·max(Δ, 1): Lemma 3.5's O(n³Δ) with constant 1.
+void expect_within_lemma35(const config::Configuration& c, radio::ChannelModel model) {
+  const core::ClassifierResult result = core::Classifier(model).run(c);
+  const std::uint64_t n = c.size();
+  const std::uint64_t degree = std::max<std::uint64_t>(c.graph().max_degree(), 1);
+  EXPECT_LE(result.steps, n * n * n * degree) << "n=" << n << " degree=" << degree;
+}
+
+TEST(Classifier, StepsStayWithinTheLemma35Envelope) {
+  for (const auto model :
+       {radio::ChannelModel::CollisionDetection, radio::ChannelModel::NoCollisionDetection}) {
+    for (config::Tag m = 2; m <= 32; ++m) {
+      expect_within_lemma35(config::family_g(m), model);
+    }
+    support::Rng rng(35);
+    for (const graph::NodeId n : {2u, 3u, 8u, 16u, 32u, 64u}) {
+      expect_within_lemma35(config::random_tags(graph::complete(n), 3, rng), model);
+      expect_within_lemma35(
+          config::random_tags(graph::complete(n), static_cast<config::Tag>(n), rng), model);
+    }
+    for (const graph::NodeId n : {4u, 12u, 32u, 64u}) {
+      for (const double p : {0.1, 0.3, 0.7}) {
+        expect_within_lemma35(config::random_tags(graph::gnp_connected(n, p, rng), 4, rng), model);
+      }
+    }
+    for (graph::NodeId n = 1; n <= 4; ++n) {
+      graph::for_each_connected_graph(n, [&](const graph::Graph& g) {
+        std::vector<config::Tag> tags(n, 0);
+        for (;;) {
+          expect_within_lemma35(config::Configuration(g, tags), model);
+          graph::NodeId position = 0;  // odometer over {0, 1, 2}^n
+          while (position < n && tags[position] == 2) {
+            tags[position++] = 0;
+          }
+          if (position == n) {
+            break;
+          }
+          ++tags[position];
+        }
+      });
+    }
   }
 }
 
-/// Parameterized over RNG seeds: random topology + tags, both classifiers
-/// must agree bit-for-bit.
+// -------------------------------------------- differential: rep-scan oracle
+
+/// The production Classifier equals the paper's rep scan on every field,
+/// the step counter included, under both channel models.
+void expect_oracle_equal(const config::Configuration& c) {
+  for (const auto model :
+       {radio::ChannelModel::CollisionDetection, radio::ChannelModel::NoCollisionDetection}) {
+    const core::ClassifierResult result = core::Classifier(model).run(c);
+    ASSERT_EQ(result, testkit::classify_by_rep_scan(c, model))
+        << "model " << static_cast<int>(model) << ", steps " << result.steps;
+    expect_structural_invariants(result, c.size());
+  }
+}
+
+/// Parameterized over RNG seeds: random topology + tags.
 class ClassifierEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ClassifierEquivalence, FastMatchesPaperOnRandomConfigurations) {
+TEST_P(ClassifierEquivalence, HashedRefineMatchesRepScanOnRandomConfigurations) {
   support::Rng rng(GetParam());
   for (int repeat = 0; repeat < 8; ++repeat) {
     const auto n = static_cast<graph::NodeId>(2 + rng.below(18));
@@ -249,11 +298,22 @@ TEST_P(ClassifierEquivalence, FastMatchesPaperOnRandomConfigurations) {
         g = graph::gnp_connected(n, 0.3, rng);
         break;
     }
-    const config::Configuration c = config::random_tags(std::move(g), sigma, rng);
-    const core::ClassifierResult paper = core::Classifier{}.run(c);
-    const core::ClassifierResult fast = core::FastClassifier{}.run(c);
-    expect_identical_results(paper, fast);
-    expect_structural_invariants(paper, c.size());
+    expect_oracle_equal(config::random_tags(std::move(g), sigma, rng));
+  }
+}
+
+TEST(ClassifierEquivalenceOnWorkloads, HashedRefineMatchesRepScan) {
+  for (const char* spec : {"random:n=64,p=0.1,sigma=64", "torus:rows=8,cols=8,sigma=3"}) {
+    const engine::CountedSweep sweep = engine::parse_workload(spec).instantiate(
+        3, {core::ProtocolSpec::classify_only()}, {.count = 20});
+    ASSERT_EQ(sweep.count, 20u);
+    for (engine::JobId id = 0; id < sweep.count; ++id) {
+      SCOPED_TRACE(std::string(spec) + " #" + std::to_string(id));
+      expect_oracle_equal(sweep.source(id).configuration);
+    }
+  }
+  for (config::Tag m = 2; m <= 16; ++m) {
+    expect_oracle_equal(config::family_g(m));
   }
 }
 

@@ -1,8 +1,9 @@
 /// \file test_exhaustive.cpp
 /// Experiment E1 (Theorem 3.17) as an exhaustive integration sweep: every
 /// labelled connected graph up to n = 4 with every tag vector over {0,1,2}
-/// goes through the full pipeline — paper Classifier, FastClassifier,
-/// canonical-DRIP simulation — and all three must agree everywhere.  For
+/// goes through the full pipeline — Classifier, the paper's rep-scan oracle
+/// under both channel models, canonical-DRIP simulation — and all must
+/// agree everywhere.  For
 /// n = 3 the Lemma 3.9 history-partition referee also validates every phase.
 /// Feasible-configuration counts are pinned as regression values.
 
@@ -15,8 +16,8 @@
 #include "config/io.hpp"
 #include "core/canonical_drip.hpp"
 #include "core/election.hpp"
-#include "core/fast_classifier.hpp"
 #include "graph/enumeration.hpp"
+#include "classifier_oracle.hpp"
 #include "helpers.hpp"
 
 namespace {
@@ -59,13 +60,10 @@ SweepCounts full_pipeline_sweep(graph::NodeId n, config::Tag max_tag) {
   for_each_configuration(n, max_tag, [&](const config::Configuration& c) {
     ++counts.configurations;
     const core::ClassifierResult paper = core::Classifier{}.run(c);
-    const core::ClassifierResult fast = core::FastClassifier{}.run(c);
-    ASSERT_EQ(paper.verdict, fast.verdict);
-    ASSERT_EQ(paper.iterations, fast.iterations);
-    ASSERT_EQ(paper.leader, fast.leader);
-    for (std::size_t j = 0; j < paper.records.size(); ++j) {
-      ASSERT_EQ(paper.records[j].clazz, fast.records[j].clazz);
-    }
+    ASSERT_EQ(paper, testkit::classify_by_rep_scan(c)) << config::to_text_string(c);
+    ASSERT_EQ(core::Classifier(radio::ChannelModel::NoCollisionDetection).run(c),
+              testkit::classify_by_rep_scan(c, radio::ChannelModel::NoCollisionDetection))
+        << config::to_text_string(c);
 
     const core::ElectionReport report = core::elect(c);
     ASSERT_TRUE(report.valid) << config::to_text_string(c);
@@ -126,17 +124,17 @@ TEST(Exhaustive, N3Lemma39RerefereesEveryPhase) {
 }
 
 TEST(Exhaustive, N5ClassifierEquivalenceBinaryTags) {
-  // n = 5 with tags over {0,1}: classifier-only (23k runs), both
-  // implementations bit-identical.
+  // n = 5 with tags over {0,1}: classifier-only (23k runs), equal to the
+  // rep-scan oracle under both channel models, step counter included.
   std::uint64_t feasible = 0;
   std::uint64_t total = 0;
   for_each_configuration(5, 1, [&](const config::Configuration& c) {
     ++total;
     const core::ClassifierResult paper = core::Classifier{}.run(c);
-    const core::ClassifierResult fast = core::FastClassifier{}.run(c);
-    ASSERT_EQ(paper.verdict, fast.verdict);
-    ASSERT_EQ(paper.iterations, fast.iterations);
-    ASSERT_EQ(paper.leader, fast.leader);
+    ASSERT_EQ(paper, testkit::classify_by_rep_scan(c)) << config::to_text_string(c);
+    ASSERT_EQ(core::Classifier(radio::ChannelModel::NoCollisionDetection).run(c),
+              testkit::classify_by_rep_scan(c, radio::ChannelModel::NoCollisionDetection))
+        << config::to_text_string(c);
     feasible += paper.feasible() ? 1 : 0;
   });
   EXPECT_EQ(total, 728u * 32u);

@@ -9,8 +9,8 @@
 #include "config/io.hpp"
 #include "config/mutations.hpp"
 #include "core/canonical_drip.hpp"
+#include "core/classifier.hpp"
 #include "core/election.hpp"
-#include "core/fast_classifier.hpp"
 #include "core/partition.hpp"
 #include "core/schedule_io.hpp"
 #include "graph/algorithms.hpp"
@@ -74,9 +74,9 @@ TEST(NoCd, WeakerFeedbackNeverHelps) {
       std::vector<config::Tag> tags(n, 0);
       for (;;) {
         const config::Configuration c(g, tags);
-        const bool cd = core::FastClassifier{}.run(c).feasible();
+        const bool cd = core::Classifier{}.run(c).feasible();
         const bool nocd =
-            core::FastClassifier(radio::ChannelModel::NoCollisionDetection).run(c).feasible();
+            core::Classifier(radio::ChannelModel::NoCollisionDetection).run(c).feasible();
         EXPECT_TRUE(cd || !nocd) << config::to_text_string(c);
         cd_feasible += cd ? 1 : 0;
         nocd_feasible += nocd ? 1 : 0;
@@ -106,9 +106,9 @@ TEST(NoCd, WitnessWhereCollisionDetectionIsEssential) {
   // star to be told apart *through* the collision.  K_{1,3} with tags
   // 0,1,1,0 does it: found by the exhaustive sweep, verified here.
   const config::Configuration c(graph::star(4), {0, 1, 1, 0});
-  EXPECT_TRUE(core::FastClassifier{}.run(c).feasible());
+  EXPECT_TRUE(core::Classifier{}.run(c).feasible());
   EXPECT_FALSE(
-      core::FastClassifier(radio::ChannelModel::NoCollisionDetection).run(c).feasible());
+      core::Classifier(radio::ChannelModel::NoCollisionDetection).run(c).feasible());
 }
 
 TEST(NoCd, ElectionPipelineStaysConsistent) {
@@ -380,9 +380,9 @@ TEST(Mutations, AllTagMutationsEnumerateEverySingleFlip) {
 TEST(Mutations, FeasibilityCanFlipUnderOneTagChange) {
   // S_2 (infeasible) becomes H-like (feasible) by nudging one endpoint tag.
   const config::Configuration s = config::family_s(2);
-  EXPECT_FALSE(core::FastClassifier{}.run(s).feasible());
+  EXPECT_FALSE(core::Classifier{}.run(s).feasible());
   const config::Configuration nudged = config::with_tag(s, 3, 3);  // t_d: 2 -> 3
-  EXPECT_TRUE(core::FastClassifier{}.run(nudged).feasible());
+  EXPECT_TRUE(core::Classifier{}.run(nudged).feasible());
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "core/canonical_drip.hpp"
 #include "core/classifier.hpp"
 #include "core/election.hpp"
-#include "core/fast_classifier.hpp"
 #include "core/patient.hpp"
 #include "core/schedule.hpp"
 #include "core/schedule_io.hpp"
@@ -367,9 +366,6 @@ engine::WorkloadSpec random_workload_spec(support::Rng& rng, bool allow_mutation
   if (rng.bernoulli(0.25)) {
     params.push_back("model=nocd");
   }
-  if (rng.bernoulli(0.25)) {
-    params.push_back("fast=1");
-  }
   for (std::size_t i = 0; i < params.size(); ++i) {
     name += (i == 0 ? ':' : ',');
     name += params[i];
@@ -660,12 +656,12 @@ TEST(ShardReportFuzz, FaultLineMutationsAreAlwaysRejected) {
   // Spelling mutations: non-canonical ("drop:0.20"), inactive ("none",
   // "drop:0"), unknown and malformed specs.  Each breaks the canonical-
   // spelling contract — and the digest, for defense in depth.
-  for (const std::string& respelled :
+  for (const char* respelled :
        {"fault drop:0.20", "fault none", "fault drop:0", "fault bogus", "fault drop:",
         "fault drop:0.2 extra", "fault"}) {
     std::string mutated = text;
     mutated.replace(line_start, line_end - line_start, respelled);
-    expect_rejected(mutated, "'" + respelled + "'");
+    expect_rejected(mutated, std::string("'") + respelled + "'");
   }
 
   // Every single-byte corruption of the line (spec characters and the

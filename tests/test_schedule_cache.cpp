@@ -122,9 +122,9 @@ TEST(ScheduleCache, LookupMissesThenHitsTheStoredEntry) {
 }
 
 TEST(ScheduleCache, KeysSeparateModelAndClassifierChoice) {
-  // The same configuration under a different channel model or classifier
-  // implementation compiles to different artifacts, so each (model, fast)
-  // pair owns a distinct entry.
+  // The same configuration under a different channel model compiles to
+  // different artifacts, so each model owns a distinct entry; the retired
+  // classifier bit (always false in production) still separates keys.
   engine::ScheduleCache cache(16);
   const config::Configuration c = config::family_h(2);
   (void)cache.store(c, radio::ChannelModel::CollisionDetection, false,

@@ -198,7 +198,8 @@ TEST_F(StoreTest, KeySeparatesModelAndClassifierFlavor) {
   store.save(c, radio::ChannelModel::CollisionDetection, false,
              compile(c, radio::ChannelModel::CollisionDetection));
 
-  // Same configuration under the other model / the fast classifier: misses.
+  // Same configuration under the other model or the retired classifier bit
+  // (still part of the key, always false in production): misses.
   EXPECT_EQ(store.load(c, radio::ChannelModel::NoCollisionDetection, false), nullptr);
   EXPECT_EQ(store.load(c, radio::ChannelModel::CollisionDetection, true), nullptr);
   EXPECT_EQ(store.stats().misses, 2u);

@@ -42,13 +42,13 @@ TEST(WorkloadRegistry, VariantSpecsRoundTripThroughParse) {
       "grid:rows=1,cols=2,sigma=1",
       "single-hop:n=1,sigma=0",
       "random:n=5,p=0.125,sigma=2,exact=0",
-      "random:n=9,p=1,sigma=4,model=nocd,fast=1",
+      "random:n=9,p=1,sigma=4,model=nocd",
       "exhaustive:n=3,tau=1",
-      "exhaustive:n=2,tau=0,fast=1",
+      "exhaustive:n=2,tau=0",
       "family-g",
       "family-h:model=nocd",
-      "family-s:fast=1",
-      "staggered:model=nocd,fast=1",
+      "family-s",
+      "staggered:model=nocd",
       "grid:rows=2,cols=5,sigma=1",
       "torus:rows=3,cols=4,sigma=2",
       "hypercube:d=3,sigma=2",
@@ -122,6 +122,13 @@ TEST(WorkloadRegistry, RejectsMalformedSpecs) {
       "mutations:mutations:family-h",  // no nested neighbourhoods
       "Random",               // registry keys are exact
       "random :n=4",
+      // There is one classifier: the retired classifier-choice key is unknown.
+      "random:n=9,p=1,sigma=4,model=nocd,fast=1",
+      "exhaustive:n=2,tau=0,fast=1",
+      "family-s:fast=1",
+      "staggered:model=nocd,fast=1",
+      "random:fast=0",
+      "mutations:family-h:fast=1",
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)engine::parse_workload(text), support::ContractViolation) << text;
@@ -154,14 +161,11 @@ TEST(WorkloadRegistry, RegisteredDigestsAreDistinctAndStable) {
 }
 
 TEST(WorkloadRegistry, ExecutionIdentityChangesTheDigest) {
-  // Channel model and classifier choice are workload identity: sweeps that
-  // classify differently must never share a sweep digest (merge hangs on it).
+  // The channel model is workload identity: sweeps that classify
+  // differently must never share a sweep digest (merge hangs on it).
   const engine::WorkloadSpec base = engine::parse_workload("random:n=8,p=0.3,sigma=2");
   const engine::WorkloadSpec nocd = engine::parse_workload("random:n=8,p=0.3,sigma=2,model=nocd");
-  const engine::WorkloadSpec fast = engine::parse_workload("random:n=8,p=0.3,sigma=2,fast=1");
   EXPECT_NE(base.digest(), nocd.digest());
-  EXPECT_NE(base.digest(), fast.digest());
-  EXPECT_NE(nocd.digest(), fast.digest());
 }
 
 // --------------------------------------------------------------- bounded()
@@ -289,16 +293,14 @@ TEST(WorkloadInstantiate, ElectionOptionsFollowTheSpecIdentity) {
   const engine::CountedSweep plain =
       instantiate("grid:rows=2,cols=2,sigma=1", 1, {core::ProtocolSpec::canonical()}, 1);
   EXPECT_EQ(plain.source(0).options.channel_model, radio::ChannelModel::CollisionDetection);
-  EXPECT_FALSE(plain.source(0).options.use_fast_classifier);
 
-  const engine::CountedSweep tuned = instantiate("grid:rows=2,cols=2,sigma=1,model=nocd,fast=1",
-                                                 1, {core::ProtocolSpec::canonical()}, 1);
+  const engine::CountedSweep tuned = instantiate("grid:rows=2,cols=2,sigma=1,model=nocd", 1,
+                                                 {core::ProtocolSpec::canonical()}, 1);
   EXPECT_EQ(tuned.source(0).options.channel_model, radio::ChannelModel::NoCollisionDetection);
-  EXPECT_TRUE(tuned.source(0).options.use_fast_classifier);
 
   // The mutations wrapper mirrors its base's execution identity.
-  const engine::WorkloadSpec wrapped = engine::parse_workload("mutations:family-h:fast=1");
-  EXPECT_TRUE(wrapped.election_options().use_fast_classifier);
+  const engine::WorkloadSpec wrapped = engine::parse_workload("mutations:family-h:model=nocd");
+  EXPECT_EQ(wrapped.election_options().channel_model, radio::ChannelModel::NoCollisionDetection);
 }
 
 TEST(WorkloadInstantiate, RejectsHandBuiltOutOfRangeSpecs) {

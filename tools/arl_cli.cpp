@@ -50,7 +50,6 @@
 #include "config/io.hpp"
 #include "core/canonical_drip.hpp"
 #include "core/election.hpp"
-#include "core/fast_classifier.hpp"
 #include "core/protocol.hpp"
 #include "core/quotient.hpp"
 #include "core/schedule_io.hpp"
@@ -94,7 +93,6 @@ commands:
                --seed=N       RNG seed for random          (default 1)
   classify   decide feasibility; print verdict, iterations, partition
                --model=cd|nocd   channel feedback          (default cd)
-               --fast            use the hashed classifier
   elect      classify + run the canonical DRIP + verify
                --model=cd|nocd
   sweep      run a batch of elections across the thread pool
@@ -126,8 +124,6 @@ commands:
                --threads=N       worker threads in [0, 256]; 0 = hardware
                --model=cd|nocd   channel feedback (with the legacy aliases;
                                  a --workload spec spells it as model=nocd)
-               --fast            use the hashed classifier (with the legacy
-                                 aliases; a --workload spec spells fast=1)
                --shard=i/K       run only shard i of K (contiguous job-id
                                  ranges; bit-identical to the same ids of an
                                  unsharded run) and emit a shard report
@@ -356,9 +352,7 @@ int cmd_gen(const support::Args& args) {
 int cmd_classify(const support::Args& args) {
   const config::Configuration c = read_configuration(args, 1);
   const radio::ChannelModel model = parse_model(args);
-  const core::ClassifierResult result = args.has("fast")
-                                            ? core::FastClassifier(model).run(c)
-                                            : core::Classifier(model).run(c);
+  const core::ClassifierResult result = core::Classifier(model).run(c);
   std::cout << "verdict:    " << (result.feasible() ? "feasible" : "infeasible") << '\n';
   std::cout << "iterations: " << result.iterations << '\n';
   std::cout << "steps:      " << result.steps << '\n';
@@ -442,17 +436,14 @@ std::string parse_store_directory(const support::Args& args) {
   return value;
 }
 
-/// Folds the --model/--fast execution flags into a legacy-alias workload
-/// spec — they are workload identity (sweeps classifying under different
-/// channel feedback must not merge), which is why the --workload spelling
-/// carries them inside the spec instead of beside it.
+/// Folds the --model execution flag into a legacy-alias workload spec — it
+/// is workload identity (sweeps classifying under different channel
+/// feedback must not merge), which is why the --workload spelling carries it
+/// inside the spec instead of beside it.
 engine::WorkloadSpec apply_execution_flags(engine::WorkloadSpec spec,
                                            const support::Args& args) {
   if (args.has("model")) {
     spec.model = parse_model(args);
-  }
-  if (args.has("fast")) {
-    spec.fast = true;
   }
   return spec;
 }
@@ -466,9 +457,9 @@ engine::WorkloadSpec sweep_workload(const support::Args& args) {
   if (args.has("workload")) {
     // Every workload-identity parameter has one spelling: inside the spec.
     // A bare flag next to --workload would either silently override the
-    // spec's own key (model/fast) or duplicate it (family/n/sigma/p), so
+    // spec's own key (model) or duplicate it (family/n/sigma/p), so
     // both combinations are contradictions, not preferences.
-    for (const char* flag : {"family", "n", "sigma", "p", "model", "fast"}) {
+    for (const char* flag : {"family", "n", "sigma", "p", "model"}) {
       if (args.has(flag)) {
         throw support::ContractViolation(
             std::string("--workload conflicts with --") + flag +
@@ -1497,16 +1488,16 @@ int main(int argc, char** argv) {
   }
   const std::vector<Command> commands = {
       {"gen", cmd_gen, {"family", "m", "n", "sigma", "p", "seed"}},
-      {"classify", cmd_classify, {"model", "fast"}},
+      {"classify", cmd_classify, {"model"}},
       {"elect", cmd_elect, {"model"}},
       {"sweep", cmd_sweep,
-       {"workload", "family", "n", "sigma", "p", "model", "fast", "protocol", "classify-only",
+       {"workload", "family", "n", "sigma", "p", "model", "protocol", "classify-only",
         "seed", "fault", "count", "shard", "threads", "cache", "store", "workers", "out",
         "metrics-out", "trace"}},
       {"merge", cmd_merge, {"missing"}},
       {"serve", cmd_serve, {"socket", "threads", "cache", "store", "queue"}},
       {"submit", cmd_submit,
-       {"workload", "family", "n", "sigma", "p", "model", "fast", "protocol", "classify-only",
+       {"workload", "family", "n", "sigma", "p", "model", "protocol", "classify-only",
         "seed", "fault", "count", "shard", "socket", "timeout", "ping", "threads", "cache",
         "store", "out"}},
       {"stats", cmd_stats, {"socket", "timeout"}},
