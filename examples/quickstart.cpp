@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   const core::ElectionReport report = core::elect(configuration);
 
   std::cout << "feasible:      " << (report.feasible ? "yes" : "no") << '\n';
-  std::cout << "iterations:    " << report.classification.iterations << '\n';
+  std::cout << "iterations:    " << report.classification->iterations << '\n';
   if (report.leader) {
     std::cout << "leader:        node " << *report.leader << '\n';
   }

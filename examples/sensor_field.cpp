@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     std::cout << "  -> feasible; coordinator = sensor " << *report.leader << '\n';
     support::Table table({"metric", "value"});
     table.add_row({std::string("Classifier iterations"),
-                   static_cast<std::int64_t>(report.classification.iterations)});
+                   static_cast<std::int64_t>(report.classification->iterations)});
     table.add_row({std::string("local rounds to elect"),
                    static_cast<std::int64_t>(report.local_rounds)});
     table.add_row({std::string("global rounds (wall clock)"),

@@ -91,7 +91,7 @@ Configuration from_text(std::istream& in) {
     edges.emplace_back(static_cast<graph::NodeId>(u), static_cast<graph::NodeId>(v));
   }
 
-  return Configuration(graph::Graph::from_edges(static_cast<graph::NodeId>(n), edges),
+  return Configuration(graph::Graph::from_edges(static_cast<graph::NodeId>(n), std::move(edges)),
                        std::move(tags));
 }
 

@@ -29,7 +29,7 @@ std::optional<Configuration> with_random_extra_edge(const Configuration& configu
   }
   auto edges = g.edges();
   edges.push_back(rng.pick(missing));
-  return Configuration(graph::Graph::from_edges(n, edges), configuration.tags());
+  return Configuration(graph::Graph::from_edges(n, std::move(edges)), configuration.tags());
 }
 
 std::optional<Configuration> with_random_edge_removed(const Configuration& configuration,
@@ -45,7 +45,7 @@ std::optional<Configuration> with_random_edge_removed(const Configuration& confi
         remaining.push_back(edges[other]);
       }
     }
-    if (graph::is_connected(graph::Graph::from_edges(g.node_count(), remaining))) {
+    if (graph::is_connected(graph::Graph::from_edges(g.node_count(), std::move(remaining)))) {
       removable.push_back(e);
     }
   }
@@ -60,7 +60,7 @@ std::optional<Configuration> with_random_edge_removed(const Configuration& confi
       remaining.push_back(edges[other]);
     }
   }
-  return Configuration(graph::Graph::from_edges(g.node_count(), remaining),
+  return Configuration(graph::Graph::from_edges(g.node_count(), std::move(remaining)),
                        configuration.tags());
 }
 

@@ -12,7 +12,8 @@
 ///     `tBlock`, and listens otherwise;
 ///   - at the phase boundary it recomputes `tBlock` by matching its observed
 ///     phase history (equivalently, the label the Partitioner would assign
-///     it) against the entries of the next list;
+///     it) against the entries of the next list — compared in place, event
+///     by event, without building the label;
 ///   - when the lists end (L_{T+1} = "terminate") it terminates, and — when
 ///     the schedule is feasible — declares itself leader iff its last-phase
 ///     signature equals the embedded leader signature.
@@ -81,10 +82,18 @@ class CanonicalProgram final : public radio::NodeProgram {
   [[nodiscard]] ClassId transmission_block() const { return tblock_; }
 
  private:
-  /// Reconstructs the label the Partitioner would assign from the just-
-  /// finished phase's observations; flags schedule violations.
-  [[nodiscard]] Label build_observed_label(std::size_t phase_index,
-                                           const radio::HistoryView& history);
+  /// Checks the just-finished phase's observations against the schedule's
+  /// lemmas (canonical payloads only, then a silent trailing σ) and flags a
+  /// violation through fail(); returns how many triples the phase's label
+  /// has (its non-silent rounds inside the transmission blocks).
+  [[nodiscard]] std::size_t check_phase(const radio::HistoryView& history);
+
+  /// True when the just-finished phase's label — the (block, round, ∗)
+  /// triples the Partitioner would assign, read straight off the history's
+  /// events — equals `label`; `heard` is check_phase()'s triple count.
+  /// Allocates nothing.
+  [[nodiscard]] bool observed_equals(const Label& label, std::size_t heard,
+                                     const radio::HistoryView& history) const;
 
   /// Handles a schedule violation according to the policy.
   void fail(const char* reason);
@@ -93,6 +102,7 @@ class CanonicalProgram final : public radio::NodeProgram {
   MismatchPolicy policy_;
   std::size_t phase_ = 0;        ///< index of the phase currently executing
   std::uint64_t base_ = 0;       ///< local round before the current phase (r_{j-1})
+  std::uint64_t phase_end_ = 0;  ///< last local round of the current phase (r_j)
   ClassId tblock_ = 1;           ///< transmission block for the current phase
   bool failed_ = false;
   bool done_ = false;

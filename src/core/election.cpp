@@ -4,6 +4,11 @@
 
 namespace arl::core {
 
+std::shared_ptr<const ClassifierResult> unclassified() {
+  static const ClassifierResult empty;
+  return {std::shared_ptr<const ClassifierResult>(), &empty};
+}
+
 ElectionReport elect(const config::Configuration& configuration, const ElectionOptions& options) {
   ElectionScratch scratch;
   return elect(configuration, options, scratch);

@@ -73,6 +73,11 @@ struct ElectionOptions {
   radio::SimulatorOptions simulator = {};
 };
 
+/// The empty classification of a run that never classified: a shared
+/// pointer to one static, default-constructed result (no ownership, so
+/// copying it touches no reference count).
+[[nodiscard]] std::shared_ptr<const ClassifierResult> unclassified();
+
 /// Everything elect() / run_protocol() learned about a configuration.
 struct ElectionReport {
   /// Registry name of the protocol that produced this report ("canonical",
@@ -82,9 +87,11 @@ struct ElectionReport {
   /// How the run ended (see Disposition).
   Disposition disposition = Disposition::NotSimulated;
 
-  /// The Classifier run (verdict, iterations, partitions, step counts).
-  /// Default-constructed for the baseline protocols, which never classify.
-  ClassifierResult classification;
+  /// The Classifier run (verdict, iterations, partitions, step counts),
+  /// shared, not copied: a cached run aliases the cache entry's result, an
+  /// uncached one owns its own.  Never null; the baseline protocols, which
+  /// never classify, read an empty result (0 iterations).
+  std::shared_ptr<const ClassifierResult> classification = unclassified();
 
   /// The compiled canonical schedule; null when simulation was skipped
   /// (classify-only runs never pay for schedule compilation).

@@ -133,18 +133,22 @@ ElectionReport run_canonical(const config::Configuration& configuration,
                              ElectionScratch& scratch) {
   ElectionReport report;
   if (scratch.schedule_cache != nullptr) {
-    const std::shared_ptr<const CompiledConfiguration> compiled =
+    // Cached: the report shares the entry's classification (aliasing the
+    // entry's ownership), so a hit copies no records.
+    std::shared_ptr<const CompiledConfiguration> compiled =
         classify_and_compile(configuration, options, *scratch.schedule_cache);
-    report.classification = compiled->classification;
+    const ClassifierResult* classification = &compiled->classification;
     report.schedule = compiled->schedule;
+    report.classification =
+        std::shared_ptr<const ClassifierResult>(std::move(compiled), classification);
   } else {
-    // Uncached: move the artifacts straight into the report (no copy of the
-    // classification records — large uncached sweeps run through here).
+    // Uncached: the report owns the fresh artifacts outright.
     CompiledConfiguration compiled = compile(configuration, options);
-    report.classification = std::move(compiled.classification);
+    report.classification =
+        std::make_shared<const ClassifierResult>(std::move(compiled.classification));
     report.schedule = std::move(compiled.schedule);
   }
-  report.feasible = report.classification.feasible();
+  report.feasible = report.classification->feasible();
 
   if (!simulate) {
     report.schedule = nullptr;  // classify-only reports never carry one
@@ -187,7 +191,7 @@ ElectionReport run_canonical(const config::Configuration& configuration,
   }
   const auto leaders = run.leaders();
   if (report.feasible) {
-    valid = valid && leaders.size() == 1 && leaders.front() == report.classification.leader;
+    valid = valid && leaders.size() == 1 && leaders.front() == report.classification->leader;
     if (leaders.size() == 1) {
       report.leader = leaders.front();
     }

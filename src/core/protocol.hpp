@@ -123,7 +123,7 @@ struct ProtocolSpec {
 ///    overrides them), instantiate the Drip, simulate under a
 ///    protocol-derived horizon guard, and verify termination and leader
 ///    uniqueness.  No classification is run (`report.feasible` stays false
-///    and `report.classification` is default-constructed).
+///    and `report.classification` is the empty `unclassified()` result).
 /// The report's `protocol` is `spec.name()` and its `disposition` says what
 /// happened; determinism: the outcome is a pure function of (configuration,
 /// spec, options), so engine sweeps stay bit-identical across thread counts.

@@ -1,5 +1,7 @@
 #include "core/quotient.hpp"
 
+#include <algorithm>
+
 #include "core/classifier.hpp"
 #include "support/assert.hpp"
 
@@ -29,20 +31,20 @@ SymmetryReport analyze_symmetry(const config::Configuration& configuration,
     }
   }
 
-  // Quotient graph over orbits.
-  graph::Graph::Builder builder(num_classes);
+  // Quotient graph over orbits: one edge per pair of adjacent classes.
+  std::vector<graph::Edge> edges;
   for (graph::NodeId v = 0; v < configuration.size(); ++v) {
     for (const graph::NodeId w : configuration.graph().neighbors(v)) {
-      if (v < w) {
-        const ClassId a = clazz[v];
-        const ClassId b = clazz[w];
-        if (a != b && !builder.has_edge(a - 1, b - 1)) {
-          builder.add_edge(a - 1, b - 1);
-        }
+      const ClassId a = clazz[v];
+      const ClassId b = clazz[w];
+      if (a < b) {
+        edges.emplace_back(a - 1, b - 1);
       }
     }
   }
-  report.quotient = std::move(builder).build();
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  report.quotient = graph::Graph::from_edges(num_classes, std::move(edges));
 
   ARL_ENSURES(report.feasible() == classification.feasible(),
               "singleton orbits must coincide with the feasibility verdict");

@@ -81,8 +81,8 @@ JobOutcome execute_job(const BatchJob& job, JobId id, std::uint64_t batch_seed,
   outcome.simulated = report.simulated;
   outcome.valid = report.valid;
   outcome.leader = report.leader;
-  outcome.classifier_iterations = report.classification.iterations;
-  outcome.classifier_steps = report.classification.steps;
+  outcome.classifier_iterations = report.classification->iterations;
+  outcome.classifier_steps = report.classification->steps;
   outcome.local_rounds = report.local_rounds;
   outcome.global_rounds = report.global_rounds;
   outcome.stats = report.stats;

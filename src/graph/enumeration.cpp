@@ -25,7 +25,7 @@ std::uint64_t for_each_connected_graph(NodeId n, const std::function<void(const 
         edges.push_back(slots[b]);
       }
     }
-    Graph graph = Graph::from_edges(n, edges);
+    Graph graph = Graph::from_edges(n, std::move(edges));
     if (is_connected(graph)) {
       ++visited;
       visit(graph);

@@ -1,53 +1,45 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "support/assert.hpp"
 
 namespace arl::graph {
 
-Graph::Builder::Builder(NodeId nodes) : nodes_(nodes), adjacency_(nodes) {}
-
-Graph::Builder& Graph::Builder::add_edge(NodeId u, NodeId v) {
-  ARL_EXPECTS(u < nodes_ && v < nodes_, "edge endpoint out of range");
-  ARL_EXPECTS(u != v, "self loops are not allowed in a simple graph");
-  ARL_EXPECTS(!has_edge(u, v), "parallel edges are not allowed in a simple graph");
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  return *this;
-}
-
-bool Graph::Builder::has_edge(NodeId u, NodeId v) const {
-  ARL_EXPECTS(u < nodes_ && v < nodes_, "edge endpoint out of range");
-  const auto& shorter =
-      adjacency_[u].size() <= adjacency_[v].size() ? adjacency_[u] : adjacency_[v];
-  const NodeId needle = adjacency_[u].size() <= adjacency_[v].size() ? v : u;
-  return std::find(shorter.begin(), shorter.end(), needle) != shorter.end();
-}
-
-Graph Graph::Builder::build() && { return Graph(std::move(adjacency_)); }
-
-Graph::Graph(std::vector<std::vector<NodeId>> adjacency) {
-  offsets_.reserve(adjacency.size() + 1);
-  offsets_.push_back(0);
-  std::size_t total = 0;
-  for (auto& list : adjacency) {
-    std::sort(list.begin(), list.end());
-    total += list.size();
-    offsets_.push_back(total);
+Graph Graph::from_edges(NodeId nodes, std::vector<Edge> edges) {
+  for (auto& [u, v] : edges) {
+    ARL_EXPECTS(u < nodes && v < nodes, "edge endpoint out of range");
+    ARL_EXPECTS(u != v, "self loops are not allowed in a simple graph");
+    if (v < u) {
+      std::swap(u, v);
+    }
   }
-  neighbors_.reserve(total);
-  for (const auto& list : adjacency) {
-    neighbors_.insert(neighbors_.end(), list.begin(), list.end());
+  if (!std::is_sorted(edges.begin(), edges.end())) {
+    std::sort(edges.begin(), edges.end());
   }
-}
+  ARL_EXPECTS(std::adjacent_find(edges.begin(), edges.end()) == edges.end(),
+              "parallel edges are not allowed in a simple graph");
 
-Graph Graph::from_edges(NodeId nodes, const std::vector<Edge>& edges) {
-  Builder builder(nodes);
+  // Counting pass: the degree of v lands in offsets_[v + 2], so after the
+  // prefix sum offsets_[v + 1] is v's first slot and serves as its fill
+  // cursor, ending as v's end (= the start of v + 1); the spare last entry
+  // goes.  With the edges sorted, each list fills in increasing order: v's
+  // smaller neighbours arrive (as first ends) before its larger ones.
+  Graph graph;
+  graph.offsets_.assign(std::size_t{nodes} + 2, 0);
   for (const auto& [u, v] : edges) {
-    builder.add_edge(u, v);
+    ++graph.offsets_[u + 2];
+    ++graph.offsets_[v + 2];
   }
-  return std::move(builder).build();
+  std::partial_sum(graph.offsets_.begin(), graph.offsets_.end(), graph.offsets_.begin());
+  graph.neighbors_.resize(2 * edges.size());
+  for (const auto& [u, v] : edges) {
+    graph.neighbors_[graph.offsets_[u + 1]++] = v;
+    graph.neighbors_[graph.offsets_[v + 1]++] = u;
+  }
+  graph.offsets_.pop_back();
+  return graph;
 }
 
 std::span<const NodeId> Graph::neighbors(NodeId v) const {

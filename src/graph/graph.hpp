@@ -4,12 +4,14 @@
 /// Simple undirected graph with compact adjacency storage.
 ///
 /// Radio networks in the paper are simple undirected connected graphs; this
-/// type stores exactly that.  Construction goes through `Builder` (or an edge
-/// list), which validates simplicity (no self loops, no parallel edges).
-/// Neighbour lists are sorted, enabling O(log Δ) adjacency queries and
-/// deterministic iteration order — determinism matters because `Classifier`
-/// fixes "an arbitrary ordering of the vertices" and all our algorithms must
-/// replay identically.
+/// type stores exactly that.  There is one way to build one: `from_edges`,
+/// which validates simplicity (no self loops, no parallel edges), sorts the
+/// edge list and fills the CSR arrays in one counting pass — no per-node
+/// vectors, no per-insertion duplicate scan.  Generators emit an edge list
+/// and call it.  Neighbour lists are sorted, enabling O(log Δ) adjacency
+/// queries and deterministic iteration order — determinism matters because
+/// `Classifier` fixes "an arbitrary ordering of the vertices" and all our
+/// algorithms must replay identically.
 
 #include <cstdint>
 #include <span>
@@ -28,32 +30,13 @@ using Edge = std::pair<NodeId, NodeId>;
 /// Immutable simple undirected graph.
 class Graph {
  public:
-  /// Incremental graph builder.
-  class Builder {
-   public:
-    /// Starts a builder for `nodes` isolated vertices.
-    explicit Builder(NodeId nodes);
-
-    /// Adds the undirected edge {u, v}. Requires u != v, both in range, and
-    /// the edge not already present.
-    Builder& add_edge(NodeId u, NodeId v);
-
-    /// True if {u, v} has been added.
-    [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
-
-    /// Finalizes into an immutable Graph.
-    [[nodiscard]] Graph build() &&;
-
-   private:
-    NodeId nodes_;
-    std::vector<std::vector<NodeId>> adjacency_;
-  };
-
   /// Empty graph (0 nodes).
   Graph() = default;
 
-  /// Builds from an explicit edge list over `nodes` vertices.
-  static Graph from_edges(NodeId nodes, const std::vector<Edge>& edges);
+  /// Builds the graph over `nodes` vertices with the given edges, in any
+  /// order and orientation.  Requires both ends in range, u != v, and no
+  /// edge listed twice (in either orientation).
+  static Graph from_edges(NodeId nodes, std::vector<Edge> edges);
 
   /// Number of nodes.
   [[nodiscard]] NodeId node_count() const {
@@ -82,8 +65,6 @@ class Graph {
   friend bool operator==(const Graph& a, const Graph& b) = default;
 
  private:
-  explicit Graph(std::vector<std::vector<NodeId>> adjacency);
-
   // CSR storage: neighbours of v are neighbors_[offsets_[v] .. offsets_[v+1]).
   std::vector<std::size_t> offsets_;
   std::vector<NodeId> neighbors_;

@@ -4,8 +4,6 @@ namespace arl::support {
 
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 /// SplitMix64 step, used for seeding and stream derivation.
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9e3779b97f4a7c15ULL;
@@ -29,18 +27,6 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::below(std::uint64_t bound) {
   ARL_EXPECTS(bound > 0, "below(0) is undefined");
   // Debiased modulo (rejection sampling on the tail).
@@ -60,20 +46,6 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
     return static_cast<std::int64_t>(next());
   }
   return lo + static_cast<std::int64_t>(below(width));
-}
-
-double Rng::real() {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return real() < p;
 }
 
 Rng Rng::split(std::uint64_t stream_id) const {

@@ -22,8 +22,19 @@ class Rng {
   /// Seeds the stream; two Rng with the same seed produce identical output.
   explicit Rng(std::uint64_t seed);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next();
+  /// Next raw 64-bit value.  Defined here, like real() and bernoulli(), so
+  /// the tight draw loops of graph generation and the fault dice inline it.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform value in [0, bound). Requires bound > 0.
   std::uint64_t below(std::uint64_t bound);
@@ -32,10 +43,18 @@ class Rng {
   std::int64_t range(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1).
-  double real();
+  double real() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// True with probability p (clamped to [0, 1]).
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    if (p <= 0.0) {
+      return false;
+    }
+    if (p >= 1.0) {
+      return true;
+    }
+    return real() < p;
+  }
 
   /// Derives an independent child stream; children with distinct ids are
   /// independent of each other and of the parent's future output.
@@ -59,6 +78,10 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
 };
 

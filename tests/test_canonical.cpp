@@ -239,6 +239,35 @@ TEST(CanonicalDrip, RobustModeFailsGracefullyOnForeignConfigurations) {
   EXPECT_NE(run.leaders().size(), 1u);      // and never fake an election
 }
 
+// The phase-boundary checks, driven directly on one program: a 2-node path
+// with tags {0, 1} compiles to one phase of one block (2σ+1 = 3 rounds) plus
+// σ = 1 trailing round, so decide(5) reads H[1..4] at the boundary.
+TEST(CanonicalDrip, PhaseBoundaryRejectsForeignPayloadsAndTrailingNoise) {
+  const auto schedule = core::make_schedule(config::Configuration(graph::path(2), {0, 1}));
+  ASSERT_EQ(schedule->phases.size(), 1u);
+  ASSERT_EQ(schedule->phase_length(0), 4u);
+  const auto silent = radio::HistoryEntry::silence();
+  const radio::History foreign_payload = {silent, silent, radio::HistoryEntry::message(7),
+                                          silent, silent};
+  const radio::History trailing_noise = {silent, silent, silent, silent,
+                                         radio::HistoryEntry::collision()};
+  for (const radio::History* history : {&foreign_payload, &trailing_noise}) {
+    core::CanonicalProgram strict(schedule, core::MismatchPolicy::Strict);
+    EXPECT_THROW((void)strict.decide(5, radio::HistoryView(*history, 0)), ContractViolation);
+
+    core::CanonicalProgram robust(schedule, core::MismatchPolicy::Robust);
+    EXPECT_TRUE(robust.decide(5, radio::HistoryView(*history, 0)).is_terminate());
+    EXPECT_TRUE(robust.failed());
+    EXPECT_FALSE(robust.elected());
+  }
+  // A canonical message inside the block and a silent trailing round pass
+  // both checks.
+  const radio::History clean = {silent, silent, radio::HistoryEntry::message(1), silent, silent};
+  core::CanonicalProgram strict(schedule, core::MismatchPolicy::Strict);
+  EXPECT_TRUE(strict.decide(5, radio::HistoryView(clean, 0)).is_terminate());
+  EXPECT_FALSE(strict.failed());
+}
+
 // -------------------------------------------------------------- elect() API
 
 TEST(Elect, ReportsAreConsistentAcrossFamilies) {

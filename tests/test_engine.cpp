@@ -58,13 +58,13 @@ std::vector<core::ProtocolSpec> protocol_mix() {
 void expect_reports_identical(const core::ElectionReport& a, const core::ElectionReport& b) {
   EXPECT_EQ(a.protocol, b.protocol);
   EXPECT_EQ(a.disposition, b.disposition);
-  EXPECT_EQ(a.classification.verdict, b.classification.verdict);
-  EXPECT_EQ(a.classification.model, b.classification.model);
-  EXPECT_EQ(a.classification.iterations, b.classification.iterations);
-  EXPECT_EQ(a.classification.steps, b.classification.steps);
-  EXPECT_EQ(a.classification.leader, b.classification.leader);
-  EXPECT_EQ(a.classification.leader_class, b.classification.leader_class);
-  EXPECT_EQ(a.classification.records, b.classification.records);
+  EXPECT_EQ(a.classification->verdict, b.classification->verdict);
+  EXPECT_EQ(a.classification->model, b.classification->model);
+  EXPECT_EQ(a.classification->iterations, b.classification->iterations);
+  EXPECT_EQ(a.classification->steps, b.classification->steps);
+  EXPECT_EQ(a.classification->leader, b.classification->leader);
+  EXPECT_EQ(a.classification->leader_class, b.classification->leader_class);
+  EXPECT_EQ(a.classification->records, b.classification->records);
   ASSERT_EQ(a.schedule != nullptr, b.schedule != nullptr);
   if (a.schedule != nullptr) {
     EXPECT_EQ(a.schedule->total_rounds(), b.schedule->total_rounds());

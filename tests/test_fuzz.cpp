@@ -231,12 +231,12 @@ TEST_P(FuzzSweep, ElectReportsAreInternallyConsistent) {
     const config::Configuration c = random_configuration(rng);
     const core::ElectionReport report = core::elect(c);
     ASSERT_TRUE(report.valid);
-    EXPECT_EQ(report.feasible, report.classification.feasible());
+    EXPECT_EQ(report.feasible, report.classification->feasible());
     EXPECT_EQ(report.feasible, report.schedule->feasible);
     EXPECT_EQ(report.local_rounds, report.schedule->total_rounds());
     if (report.feasible) {
       ASSERT_TRUE(report.leader.has_value());
-      EXPECT_EQ(*report.leader, report.classification.leader);
+      EXPECT_EQ(*report.leader, report.classification->leader);
     } else {
       EXPECT_FALSE(report.leader.has_value());
     }

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/enumeration.hpp"
@@ -20,20 +23,66 @@ using arl::support::ContractViolation;
 
 // -------------------------------------------------------------- construction
 
-TEST(Graph, BuilderRejectsSelfLoops) {
-  graph::Graph::Builder builder(3);
-  EXPECT_THROW(builder.add_edge(1, 1), ContractViolation);
+TEST(Graph, FromEdgesRejectsSelfLoops) {
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{1, 1}}), ContractViolation);
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{0, 1}, {2, 2}}), ContractViolation);
 }
 
-TEST(Graph, BuilderRejectsParallelEdges) {
-  graph::Graph::Builder builder(3);
-  builder.add_edge(0, 1);
-  EXPECT_THROW(builder.add_edge(1, 0), ContractViolation);
+TEST(Graph, FromEdgesRejectsParallelEdges) {
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{0, 1}, {0, 1}}), ContractViolation);
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{0, 1}, {1, 0}}), ContractViolation);
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{2, 1}, {0, 2}, {1, 2}}), ContractViolation);
 }
 
-TEST(Graph, BuilderRejectsOutOfRange) {
-  graph::Graph::Builder builder(3);
-  EXPECT_THROW(builder.add_edge(0, 3), ContractViolation);
+TEST(Graph, FromEdgesRejectsOutOfRange) {
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{0, 3}}), ContractViolation);
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{3, 0}}), ContractViolation);
+  EXPECT_THROW((void)graph::Graph::from_edges(0, {{0, 1}}), ContractViolation);
+}
+
+TEST(Graph, FromEdgesIgnoresOrderAndOrientation) {
+  support::Rng rng(31);
+  for (int round = 0; round < 200; ++round) {
+    const auto n = static_cast<graph::NodeId>(1 + rng.below(24));
+    std::vector<graph::Edge> sorted;
+    for (graph::NodeId u = 0; u < n; ++u) {
+      for (graph::NodeId v = u + 1; v < n; ++v) {
+        if (rng.bernoulli(0.3)) {
+          sorted.emplace_back(u, v);
+        }
+      }
+    }
+    std::vector<graph::Edge> scrambled = sorted;
+    rng.shuffle(scrambled);
+    for (auto& [u, v] : scrambled) {
+      if (rng.bernoulli(0.5)) {
+        std::swap(u, v);
+      }
+    }
+    const graph::Graph g = graph::Graph::from_edges(n, scrambled);
+    EXPECT_EQ(g, graph::Graph::from_edges(n, sorted)) << "round " << round;
+    EXPECT_EQ(g.node_count(), n);
+    EXPECT_EQ(g.edges(), sorted) << "round " << round;
+    std::size_t degree_sum = 0;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const auto around = g.neighbors(v);
+      degree_sum += around.size();
+      EXPECT_TRUE(std::is_sorted(around.begin(), around.end()));
+      EXPECT_EQ(std::adjacent_find(around.begin(), around.end()), around.end());
+      for (const graph::NodeId w : around) {
+        EXPECT_NE(w, v);
+        EXPECT_TRUE(g.has_edge(w, v)) << "round " << round;
+      }
+    }
+    EXPECT_EQ(degree_sum, 2 * sorted.size());
+  }
+}
+
+TEST(Graph, FromEdgesOnNoNodesIsTheEmptyGraph) {
+  const graph::Graph g = graph::Graph::from_edges(0, {});
+  EXPECT_EQ(g.node_count(), 0u);
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g.max_degree(), 0u);
 }
 
 TEST(Graph, NeighborsAreSortedAndSymmetric) {

@@ -149,7 +149,7 @@ TEST(RunProtocol, LabeledProtocolsElectTheEarliestWakerByDefault) {
       EXPECT_GT(report.local_rounds, 0u);
       // Baselines never classify.
       EXPECT_FALSE(report.feasible);
-      EXPECT_EQ(report.classification.iterations, 0u);
+      EXPECT_EQ(report.classification->iterations, 0u);
     }
   }
 }

@@ -90,8 +90,8 @@ TEST(ScheduleCache, CachedFullReportsMatchUncachedOnes) {
   const engine::BatchReport b = cached.run(count, source);
   ASSERT_EQ(a.reports.size(), b.reports.size());
   for (std::size_t i = 0; i < a.reports.size(); ++i) {
-    EXPECT_EQ(a.reports[i].classification.records, b.reports[i].classification.records) << i;
-    EXPECT_EQ(a.reports[i].classification.steps, b.reports[i].classification.steps) << i;
+    EXPECT_EQ(a.reports[i].classification->records, b.reports[i].classification->records) << i;
+    EXPECT_EQ(a.reports[i].classification->steps, b.reports[i].classification->steps) << i;
     ASSERT_EQ(a.reports[i].schedule != nullptr, b.reports[i].schedule != nullptr) << i;
     if (a.reports[i].schedule != nullptr) {
       EXPECT_EQ(a.reports[i].schedule->total_rounds(), b.reports[i].schedule->total_rounds())

@@ -435,7 +435,7 @@ TEST_F(StoreTest, VersionOneEntryIsRejectedThenRewrittenAsVersionTwo) {
   scratch.schedule_cache = &tiered;
   const core::ElectionReport report =
       core::run_protocol(c, core::ProtocolSpec::classify_only(), {}, scratch);
-  EXPECT_EQ(report.classification, classification);
+  EXPECT_EQ(*report.classification, classification);
   const store::ArtifactStoreStats stats = tiered.artifacts().stats();
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.saves, 1u);

@@ -18,6 +18,7 @@
 #include "engine/workload.hpp"
 #include "graph/generators.hpp"
 #include "support/assert.hpp"
+#include "support/hash.hpp"
 
 namespace {
 
@@ -310,6 +311,51 @@ TEST(WorkloadInstantiate, RejectsHandBuiltOutOfRangeSpecs) {
   engine::WorkloadSpec torus = engine::WorkloadSpec::torus(2, 3, 1);
   EXPECT_THROW((void)torus.instantiate(1, {core::ProtocolSpec::canonical()}, {.count = 1}),
                support::ContractViolation);
+}
+
+
+// ------------------------------------------------------------------ goldens
+
+/// Digest of the first `limit` configurations a workload generates (seed 1):
+/// their fingerprints folded in job order.
+std::uint64_t configuration_digest(const char* text, std::size_t limit) {
+  const engine::CountedSweep sweep = instantiate(text, 1, {core::ProtocolSpec::canonical()}, limit);
+  support::Hash64 hash(0x601d);
+  hash.absorb(sweep.count);
+  for (engine::JobId id = 0; id < sweep.count && id < limit; ++id) {
+    hash.absorb(config::fingerprint(sweep.source(id).configuration));
+  }
+  return hash.digest();
+}
+
+// Pins what every generator produces: a faster generator that changes any
+// edge, tag or draw order fails here rather than silently moving every
+// configuration, report and store key downstream.
+TEST(WorkloadGoldens, ConfigurationFingerprintsMatchTheParent) {
+  const struct {
+    const char* text;
+    std::uint64_t digest;
+  } goldens[] = {
+      {"random:n=64,p=0.1,sigma=64", 0x477f28a1e20d2d64ULL},
+      {"random:n=40,p=0.02,sigma=5", 0x284c70af24ded53bULL},  // sparse: takes the stitching path
+      {"random:n=12,p=0.3,sigma=3,exact=0", 0x4e72e97401b16690ULL},
+      {"exhaustive:n=4,tau=1", 0x406d46c28f9f8d49ULL},
+      {"grid:rows=5,cols=7,sigma=3", 0xa2130c0c3d23a20cULL},
+      {"torus:rows=8,cols=8,sigma=3", 0x55878e4af8b2d1d2ULL},
+      {"hypercube:d=5,sigma=2", 0xaa7116cadfebb31aULL},
+      {"tree:n=33,sigma=4", 0x65ca5b87924ff28cULL},
+      {"single-hop:n=9,sigma=3", 0x3acfec27c9878300ULL},
+      {"family-g", 0x8d8d07fd5d74cd43ULL},
+      {"family-h", 0x7e20c77a22ef2e7aULL},
+      {"family-s", 0x3b87a59f592219ULL},
+      {"staggered", 0x9e782d7990c24e8ULL},
+      {"mutations:family-h", 0x35e2a8d053e7b6e4ULL},
+      {"mutations:random:n=6,p=0.5,sigma=2", 0x73b88197315f3121ULL},
+  };
+  for (const auto& golden : goldens) {
+    const std::uint64_t digest = configuration_digest(golden.text, 200);
+    EXPECT_EQ(digest, golden.digest) << golden.text << ": 0x" << std::hex << digest << "ULL";
+  }
 }
 
 }  // namespace
