@@ -5,25 +5,10 @@
 #include <sstream>
 
 #include "support/assert.hpp"
+#include "support/line_io.hpp"
 #include "support/parse.hpp"
 
 namespace arl::config {
-
-namespace {
-
-/// Reads the next content line (skips blanks and '#' comments).
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 void to_text(const Configuration& configuration, std::ostream& out) {
   const auto& graph = configuration.graph();
@@ -50,14 +35,14 @@ Configuration from_text(std::istream& in) {
   std::string line;
   std::string keyword;
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'nodes' line");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'nodes' line");
   std::istringstream nodes_line(line);
   std::uint64_t n = 0;
   nodes_line >> keyword >> n;
   ARL_EXPECTS(!nodes_line.fail() && keyword == "nodes", "malformed 'nodes' line");
   ARL_EXPECTS(n >= 1 && n <= 0xFFFFFFFFULL, "node count out of range");
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'tags' line");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'tags' line");
   std::vector<Tag> tags;
   {
     support::TokenCursor cursor(line);
@@ -73,7 +58,7 @@ Configuration from_text(std::istream& in) {
     tags = std::move(parsed);
   }
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'edges' line");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'edges' line");
   std::istringstream edges_line(line);
   std::uint64_t m = 0;
   edges_line >> keyword >> m;
@@ -82,7 +67,7 @@ Configuration from_text(std::istream& in) {
   std::vector<graph::Edge> edges;
   edges.reserve(m);
   for (std::uint64_t i = 0; i < m; ++i) {
-    ARL_EXPECTS(next_content_line(in, line), "too few edge lines");
+    ARL_EXPECTS(support::next_content_line(in, line), "too few edge lines");
     support::TokenCursor cursor(line);
     std::uint64_t u = 0;
     std::uint64_t v = 0;

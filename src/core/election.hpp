@@ -135,37 +135,33 @@ struct CompiledConfiguration {
   std::shared_ptr<const CanonicalSchedule> schedule;
 };
 
+/// Compiles `configuration` into the one artifact the pipeline caches and
+/// stores: the Classifier run under `model` plus the canonical schedule
+/// built from its records (§3.3.1 — a feasible classification already is
+/// the algorithm).  Classify-only jobs pay for the schedule too; it costs
+/// about 1% of classifying and keeps every entry of a key the same complete
+/// artifact.
+[[nodiscard]] CompiledConfiguration compile(const config::Configuration& configuration,
+                                            radio::ChannelModel model);
+
 /// Cache of compiled configuration knowledge, consulted by run_protocol()
 /// for the classifying kinds.  The interface lives in core so the election
-/// pipeline can use a cache without depending on any concrete store; the
-/// engine's sharded LRU (engine/schedule_cache.hpp) is the implementation.
+/// pipeline can use a cache without depending on any concrete one; the
+/// engine's sharded LRU with its optional disk tier
+/// (engine/schedule_cache.hpp) is the implementation.
 ///
-/// Contract: lookup() may only return an entry previously store()d for an
-/// equal (configuration, model, fast_classifier) key — implementations keyed
-/// by a digest must verify the configuration on a match, so a hash collision
-/// degrades to a miss, never to wrong artifacts.  store() takes only complete
-/// entries (schedule included), so every entry of a key holds the same
-/// artifacts and a racing store may simply replace another.  Both calls must
-/// be safe from concurrent worker threads.
-///
-/// There is one classifier: the pipeline always passes fast_classifier =
-/// false.  The bit stays in the key, so existing keys keep their bytes, until
-/// the frozen sweep benchmark (perfbench/), which passes it too, is
-/// re-frozen.
+/// Contract: get() returns the complete entry for (configuration, model) —
+/// bit-identical to compile(configuration, model) — whether it was cached,
+/// loaded or compiled on the spot.  Implementations keyed by a digest must
+/// verify the configuration on a match, so a hash collision degrades to a
+/// miss, never to wrong artifacts.  Safe from concurrent worker threads.
 class ScheduleCacheHandle {
  public:
   virtual ~ScheduleCacheHandle() = default;
 
-  /// The cached artifacts for the key, or null on a miss.
-  [[nodiscard]] virtual std::shared_ptr<const CompiledConfiguration> lookup(
-      const config::Configuration& configuration, radio::ChannelModel model,
-      bool fast_classifier) = 0;
-
-  /// Stores (or replaces) the key's complete artifacts; returns the stored
-  /// entry.  Called once per compile.
-  virtual std::shared_ptr<const CompiledConfiguration> store(
-      const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
-      CompiledConfiguration compiled) = 0;
+  /// The key's complete artifacts, compiled on a miss.
+  [[nodiscard]] virtual std::shared_ptr<const CompiledConfiguration> get(
+      const config::Configuration& configuration, radio::ChannelModel model) = 0;
 };
 
 /// Reusable working memory for elect().  A worker running many elections

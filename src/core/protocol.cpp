@@ -32,6 +32,19 @@ const char* to_string(Disposition disposition) {
   return "?";
 }
 
+CompiledConfiguration compile(const config::Configuration& configuration,
+                              radio::ChannelModel model) {
+  CompiledConfiguration compiled;
+  {
+    const obs::PhaseTimer span(obs::Phase::Classify);
+    compiled.classification = Classifier(model).run(configuration);
+  }
+  const obs::PhaseTimer span(obs::Phase::ScheduleCompile);
+  compiled.schedule = std::make_shared<const CanonicalSchedule>(
+      build_schedule(configuration, compiled.classification));
+  return compiled;
+}
+
 namespace {
 
 /// Fault events actually injected into a run — the evidence that lets a
@@ -90,42 +103,6 @@ std::vector<std::uint64_t> wakeup_order_labels(const config::Configuration& conf
   return labels;
 }
 
-/// Compiles `configuration` into the one artifact the pipeline caches and
-/// stores: the Classifier run plus the canonical schedule built from its
-/// records (§3.3.1 — a feasible classification already is the algorithm).
-/// Classify-only jobs pay for the schedule too; it costs about 1% of
-/// classifying and keeps every entry of a key the same complete artifact.
-CompiledConfiguration compile(const config::Configuration& configuration,
-                              const ElectionOptions& options) {
-  CompiledConfiguration compiled;
-  {
-    const obs::PhaseTimer span(obs::Phase::Classify);
-    compiled.classification = Classifier(options.channel_model).run(configuration);
-  }
-  const obs::PhaseTimer span(obs::Phase::ScheduleCompile);
-  compiled.schedule = std::make_shared<const CanonicalSchedule>(
-      build_schedule(configuration, compiled.classification));
-  return compiled;
-}
-
-/// The key's compiled artifacts through the scratch's schedule cache: a hit
-/// reuses them, a miss compiles and stores them.  They are a pure function
-/// of the key, so the returned entry is bit-identical to a fresh compile
-/// (asserted by tests/test_schedule_cache.cpp).  There is one classifier, so
-/// the keys' classifier bit is always false, which keeps entry keys stable.
-std::shared_ptr<const CompiledConfiguration> classify_and_compile(
-    const config::Configuration& configuration, const ElectionOptions& options,
-    ScheduleCacheHandle& cache) {
-  {
-    const obs::PhaseTimer span(obs::Phase::CacheLookup);
-    if (auto compiled = cache.lookup(configuration, options.channel_model, false)) {
-      return compiled;
-    }
-  }
-  return cache.store(configuration, options.channel_model, false,
-                     compile(configuration, options));
-}
-
 /// The canonical pipeline (previously the body of elect()): classify,
 /// compile the schedule, execute the canonical DRIP, verify.
 ElectionReport run_canonical(const config::Configuration& configuration,
@@ -136,14 +113,14 @@ ElectionReport run_canonical(const config::Configuration& configuration,
     // Cached: the report shares the entry's classification (aliasing the
     // entry's ownership), so a hit copies no records.
     std::shared_ptr<const CompiledConfiguration> compiled =
-        classify_and_compile(configuration, options, *scratch.schedule_cache);
+        scratch.schedule_cache->get(configuration, options.channel_model);
     const ClassifierResult* classification = &compiled->classification;
     report.schedule = compiled->schedule;
     report.classification =
         std::shared_ptr<const ClassifierResult>(std::move(compiled), classification);
   } else {
     // Uncached: the report owns the fresh artifacts outright.
-    CompiledConfiguration compiled = compile(configuration, options);
+    CompiledConfiguration compiled = compile(configuration, options.channel_model);
     report.classification =
         std::make_shared<const ClassifierResult>(std::move(compiled.classification));
     report.schedule = std::move(compiled.schedule);

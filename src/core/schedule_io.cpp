@@ -8,22 +8,12 @@
 
 #include "support/assert.hpp"
 #include "support/hash.hpp"
+#include "support/line_io.hpp"
 #include "support/parse.hpp"
 
 namespace arl::core {
 
 namespace {
-
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
 
 void write_label(const Label& label, std::ostream& out) {
   out << ' ' << label.size();
@@ -91,17 +81,17 @@ CanonicalSchedule schedule_from_text(std::istream& in) {
   std::string keyword;
   CanonicalSchedule schedule;
 
-  ARL_EXPECTS(next_content_line(in, line), "missing header");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing header");
   ARL_EXPECTS(line.rfind("arl-schedule v1", 0) == 0, "unknown schedule format/version");
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'sigma'");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'sigma'");
   {
     std::istringstream parse(line);
     parse >> keyword >> schedule.sigma;
     ARL_EXPECTS(!parse.fail() && keyword == "sigma", "malformed 'sigma' line");
   }
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'model'");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'model'");
   {
     std::istringstream parse(line);
     std::string model;
@@ -112,7 +102,7 @@ CanonicalSchedule schedule_from_text(std::istream& in) {
                                    : radio::ChannelModel::NoCollisionDetection;
   }
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'feasible'");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'feasible'");
   {
     std::istringstream parse(line);
     int feasible = 0;
@@ -123,7 +113,7 @@ CanonicalSchedule schedule_from_text(std::istream& in) {
   }
 
   if (schedule.feasible) {
-    ARL_EXPECTS(next_content_line(in, line), "missing 'leader'");
+    ARL_EXPECTS(support::next_content_line(in, line), "missing 'leader'");
     TokenCursor cursor(line);
     std::string_view token;
     ARL_EXPECTS(cursor.next(token) && token == "leader" &&
@@ -133,7 +123,7 @@ CanonicalSchedule schedule_from_text(std::istream& in) {
   }
 
   std::size_t phase_count = 0;
-  ARL_EXPECTS(next_content_line(in, line), "missing 'phases'");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'phases'");
   {
     std::istringstream parse(line);
     parse >> keyword >> phase_count;
@@ -143,7 +133,7 @@ CanonicalSchedule schedule_from_text(std::istream& in) {
 
   schedule.phases.reserve(phase_count);
   for (std::size_t j = 0; j < phase_count; ++j) {
-    ARL_EXPECTS(next_content_line(in, line), "missing 'phase' line");
+    ARL_EXPECTS(support::next_content_line(in, line), "missing 'phase' line");
     PhaseSpec phase;
     {
       std::istringstream parse(line);
@@ -153,7 +143,7 @@ CanonicalSchedule schedule_from_text(std::istream& in) {
     }
     phase.entries.reserve(phase.num_classes);
     for (ClassId k = 0; k < phase.num_classes; ++k) {
-      ARL_EXPECTS(next_content_line(in, line), "missing 'entry' line");
+      ARL_EXPECTS(support::next_content_line(in, line), "missing 'entry' line");
       TokenCursor cursor(line);
       std::string_view token;
       PhaseEntry entry;
@@ -232,11 +222,11 @@ ClassifierResult classification_from_text(std::istream& in) {
   std::string keyword;
   ClassifierResult result;
 
-  ARL_EXPECTS(next_content_line(in, line), "missing header");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing header");
   ARL_EXPECTS(line.rfind("arl-classification v1", 0) == 0,
               "unknown classification format/version");
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'model'");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'model'");
   {
     std::istringstream parse(line);
     std::string model;
@@ -247,7 +237,7 @@ ClassifierResult classification_from_text(std::istream& in) {
                                  : radio::ChannelModel::NoCollisionDetection;
   }
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'verdict'");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'verdict'");
   {
     std::istringstream parse(line);
     std::string verdict;
@@ -258,7 +248,7 @@ ClassifierResult classification_from_text(std::istream& in) {
     result.verdict = verdict == "feasible" ? Verdict::Feasible : Verdict::Infeasible;
   }
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'iterations'");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'iterations'");
   {
     std::istringstream parse(line);
     parse >> keyword >> result.iterations;
@@ -267,14 +257,14 @@ ClassifierResult classification_from_text(std::istream& in) {
   }
 
   if (result.feasible()) {
-    ARL_EXPECTS(next_content_line(in, line), "missing 'leader'");
+    ARL_EXPECTS(support::next_content_line(in, line), "missing 'leader'");
     std::istringstream parse(line);
     parse >> keyword >> result.leader_class >> result.leader;
     ARL_EXPECTS(!parse.fail() && keyword == "leader" && result.leader_class >= 1,
                 "malformed 'leader' line");
   }
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'steps'");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'steps'");
   {
     std::istringstream parse(line);
     parse >> keyword >> result.steps;
@@ -284,7 +274,7 @@ ClassifierResult classification_from_text(std::istream& in) {
   result.records.reserve(result.iterations);
   std::size_t nodes = 0;
   for (std::uint32_t j = 0; j < result.iterations; ++j) {
-    ARL_EXPECTS(next_content_line(in, line), "missing 'record' line");
+    ARL_EXPECTS(support::next_content_line(in, line), "missing 'record' line");
     IterationRecord record;
     std::size_t n = 0;
     {
@@ -299,7 +289,7 @@ ClassifierResult classification_from_text(std::istream& in) {
     ARL_EXPECTS(n == nodes, "records disagree on the node count");
     ARL_EXPECTS(record.num_classes <= n, "more classes than nodes");
 
-    ARL_EXPECTS(next_content_line(in, line), "missing 'classes' line");
+    ARL_EXPECTS(support::next_content_line(in, line), "missing 'classes' line");
     {
       TokenCursor cursor(line);
       std::string_view token;
@@ -315,14 +305,14 @@ ClassifierResult classification_from_text(std::istream& in) {
 
     record.labels.reserve(n);
     for (std::size_t v = 0; v < n; ++v) {
-      ARL_EXPECTS(next_content_line(in, line), "missing 'label' line");
+      ARL_EXPECTS(support::next_content_line(in, line), "missing 'label' line");
       TokenCursor cursor(line);
       std::string_view token;
       ARL_EXPECTS(cursor.next(token) && token == "label", "malformed 'label' line");
       record.labels.push_back(read_label(cursor));
     }
 
-    ARL_EXPECTS(next_content_line(in, line), "missing 'reps' line");
+    ARL_EXPECTS(support::next_content_line(in, line), "missing 'reps' line");
     {
       TokenCursor cursor(line);
       std::string_view token;

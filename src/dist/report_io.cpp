@@ -8,7 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "engine/workload.hpp"
 #include "fault/fault.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
@@ -76,26 +75,12 @@ std::uint32_t parse_u32(const std::string& token, const char* what) {
 }
 
 std::uint64_t parse_hex64(const std::string& token, const char* what) {
-  if (token.size() != 16 || token.find_first_not_of("0123456789abcdef") != std::string::npos) {
+  const std::optional<std::uint64_t> value = support::parse_hex64(token);
+  if (!value) {
     throw ReportFormatError(std::string(what) +
                             " must be 16 lowercase hex digits (got '" + token + "')");
   }
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    value = (value << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  return value;
-}
-
-std::string hex64(std::uint64_t value) {
-  // Called twice per job line when serializing — no per-call stream setup.
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
+  return *value;
 }
 
 bool parse_bool(const std::string& token, const char* what) {
@@ -255,6 +240,22 @@ std::uint64_t sweep_digest(std::string_view description) {
   return support::hash_text(description, /*seed=*/0xD157);
 }
 
+SweepKey make_sweep_key(const engine::WorkloadSpec& workload, engine::JobId total_jobs,
+                        const std::vector<core::ProtocolSpec>& protocols, std::uint64_t seed,
+                        const fault::FaultSpec& fault) {
+  SweepKey key;
+  key.description = workload.name();
+  key.digest = workload.digest();
+  key.seed = seed;
+  key.total_jobs = total_jobs;
+  key.fault = fault.name();
+  key.protocols.reserve(protocols.size());
+  for (const core::ProtocolSpec& protocol : protocols) {
+    key.protocols.push_back(protocol.name());
+  }
+  return key;
+}
+
 ShardReport make_shard_report(SweepKey key, JobRange range, engine::BatchReport report) {
   ARL_EXPECTS(range.end <= key.total_jobs, "shard range exceeds the sweep's job count");
   ARL_EXPECTS(report.jobs.size() == range.size(),
@@ -282,7 +283,7 @@ void write_shard_report(const ShardReport& shard, std::ostream& sink) {
   std::ostringstream buffer;
   std::ostream& out = buffer;
   out << "arl-shard-report " << kShardReportVersion << '\n';
-  out << "sweep " << hex64(shard.key.digest) << ' ' << shard.key.description << '\n';
+  out << "sweep " << support::hex64(shard.key.digest) << ' ' << shard.key.description << '\n';
   out << "seed " << shard.key.seed << '\n';
   out << "jobs " << shard.key.total_jobs << '\n';
   if (shard.key.fault != "none") {
@@ -321,7 +322,8 @@ void write_shard_report(const ShardReport& shard, std::ostream& sink) {
       out << '-';
     }
     out << ' ' << job.classifier_iterations << ' ' << job.classifier_steps << ' '
-        << job.local_rounds << ' ' << job.global_rounds << ' ' << hex64(job.config_fingerprint);
+        << job.local_rounds << ' ' << job.global_rounds << ' '
+        << support::hex64(job.config_fingerprint);
     write_stats(out, job.stats);
     out << '\n';
   }
@@ -334,7 +336,7 @@ void write_shard_report(const ShardReport& shard, std::ostream& sink) {
   }
   const std::string body = std::move(buffer).str();  // extract, don't copy
   sink << body << "end " << shard.report.jobs.size() << ' '
-       << hex64(support::hash_text(body, kBodyDigestSeed)) << '\n';
+       << support::hex64(support::hash_text(body, kBodyDigestSeed)) << '\n';
 }
 
 ShardReport read_shard_report(std::istream& in) {

@@ -56,6 +56,7 @@
 
 #include "dist/shard.hpp"
 #include "engine/batch_runner.hpp"
+#include "engine/workload.hpp"
 
 namespace arl::dist {
 
@@ -86,6 +87,14 @@ struct SweepKey {
 
   friend bool operator==(const SweepKey& a, const SweepKey& b) = default;
 };
+
+/// The sweep identity of `total_jobs` jobs of `workload` crossed with
+/// `protocols` under `seed` and `fault` — the one key builder of the CLI's
+/// sweeps and the sweep service's responses.
+[[nodiscard]] SweepKey make_sweep_key(const engine::WorkloadSpec& workload,
+                                      engine::JobId total_jobs,
+                                      const std::vector<core::ProtocolSpec>& protocols,
+                                      std::uint64_t seed, const fault::FaultSpec& fault);
 
 /// Stable 64-bit digest of a sweep description (the `sweep` line carries
 /// both, and merge verifies they agree — the digest catches a description

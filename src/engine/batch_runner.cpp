@@ -6,7 +6,6 @@
 #include <future>
 #include <utility>
 
-#include "store/tiered_cache.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
@@ -162,29 +161,21 @@ BatchReport BatchRunner::run_batch(JobId begin, JobId end, const Fetch& fetch,
   // thread-safe), so jobs that repeat a configuration — cross-protocol
   // head-to-heads, mutation sweeps — compile it once.  Per batch, not per
   // runner: stats describe one batch and entries never leak across runs.
+  // A store directory gives it a disk tier that preloads cold keys and
+  // persists fresh compiles across the process boundary; a store alone
+  // (cache_capacity 0) gets the default memory capacity in front of it.
   // An overriding shared cache replaces it entirely: entries then live as
   // long as its owner (the sweep service's warm cross-request cache), and
   // the owner — not this batch — accounts its stats.
-  // A store directory upgrades the per-batch cache to the two-tier handle:
-  // same memory LRU in front, with the on-disk store preloading cold keys
-  // and persisting fresh compiles across the process boundary.
   std::optional<ScheduleCache> cache;
-  std::unique_ptr<store::TieredScheduleCache> tiered;
-  if (overrides.shared_cache == nullptr) {
-    if (!options_.store_directory.empty()) {
-      const std::size_t memory_capacity =
-          options_.cache_capacity > 0 ? options_.cache_capacity : ScheduleCache::kDefaultCapacity;
-      tiered = std::make_unique<store::TieredScheduleCache>(options_.store_directory,
-                                                            memory_capacity);
-    } else if (options_.cache_capacity > 0) {
-      cache.emplace(options_.cache_capacity);
-    }
+  if (overrides.shared_cache == nullptr &&
+      (options_.cache_capacity > 0 || !options_.store_directory.empty())) {
+    cache.emplace(
+        options_.cache_capacity > 0 ? options_.cache_capacity : ScheduleCache::kDefaultCapacity,
+        options_.store_directory);
   }
-  core::ScheduleCacheHandle* const cache_handle =
-      overrides.shared_cache != nullptr
-          ? overrides.shared_cache
-          : (tiered ? static_cast<core::ScheduleCacheHandle*>(tiered.get())
-                    : (cache ? &*cache : nullptr));
+  ScheduleCache* const cache_handle =
+      overrides.shared_cache != nullptr ? overrides.shared_cache : (cache ? &*cache : nullptr);
 
   // One long-lived task per worker, pulling job ids from a shared counter:
   // dynamic load balancing without per-job scheduling overhead, and each
@@ -236,10 +227,9 @@ BatchReport BatchRunner::run_batch(JobId begin, JobId end, const Fetch& fetch,
   report.threads_used = workers;
   if (cache) {
     report.cache = cache->stats();
-  }
-  if (tiered) {
-    report.cache = tiered->memory().stats();
-    report.artifact_store = tiered->artifacts().stats();
+    if (const store::ArtifactStore* artifacts = cache->artifacts()) {
+      report.artifact_store = artifacts->stats();
+    }
   }
   if (metrics_on) {
     report.phases = registry.snapshot().since(phases_before);

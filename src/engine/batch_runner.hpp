@@ -49,11 +49,11 @@ struct BatchOptions {
   std::size_t cache_capacity = 0;
 
   /// Directory of a persistent on-disk artifact store (store/); empty (the
-  /// default) runs without one.  When set, the per-batch cache becomes a
-  /// two-tier store::TieredScheduleCache — memory tier sized by
-  /// `cache_capacity` (or the cache default when 0) — so classifications
-  /// and schedules survive the process and preload the next cold batch.
-  /// Outcomes are bit-identical with the store on, off, or pre-populated.
+  /// default) runs without one.  When set, the per-batch cache gets it as
+  /// its disk tier — memory sized by `cache_capacity` (or the cache default
+  /// when 0) — so classifications and schedules survive the process and
+  /// preload the next cold batch.  Outcomes are bit-identical with the
+  /// store on, off, or pre-populated.
   std::string store_directory = {};
 
   /// Fault injected into every job of the batch (`arl sweep --fault=SPEC`).
@@ -183,11 +183,12 @@ struct RunOverrides {
   /// shapes throughput.
   std::optional<std::size_t> max_threads;
   /// External schedule cache shared beyond this batch (e.g. the service's
-  /// process-wide cache).  When set, the per-batch cache is not created,
-  /// BatchOptions::cache_capacity is ignored, and BatchReport::cache stays
-  /// unset — the cache's owner attributes stats across runs
+  /// process-wide cache, with its disk tier if it has one).  When set, the
+  /// per-batch cache is not created, BatchOptions::cache_capacity and
+  /// store_directory are ignored, and BatchReport::cache and artifact_store
+  /// stay unset — the cache's owner attributes stats across runs
   /// (ScheduleCacheStats::since).
-  core::ScheduleCacheHandle* shared_cache = nullptr;
+  ScheduleCache* shared_cache = nullptr;
 };
 
 /// Runs batches of election jobs over an owned thread pool.

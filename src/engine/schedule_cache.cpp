@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "config/fingerprint.hpp"
+#include "obs/metrics.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 
@@ -11,10 +12,16 @@ namespace arl::engine {
 
 namespace {
 
-/// The full cache key: configuration fingerprint mixed with the compile
-/// options (the classification depends on both the channel model and the
-/// classifier implementation, so the same configuration under different
-/// options must occupy different entries).
+/// There is one classifier, so get() keys every entry with the classifier
+/// bit false: existing memory and disk keys keep their bytes.
+constexpr bool kOneClassifier = false;
+
+/// Memory shards of a cache large enough to fill them.
+constexpr std::size_t kShards = 8;
+
+/// The full cache key: configuration fingerprint mixed with the channel
+/// model (the classification depends on it, so the same configuration under
+/// different models must occupy different entries) and the classifier bit.
 std::uint64_t slot_key(const config::Configuration& configuration, radio::ChannelModel model,
                        bool fast_classifier) {
   return support::Hash64(config::fingerprint(configuration))
@@ -54,18 +61,36 @@ ScheduleCacheStats ScheduleCacheStats::since(const ScheduleCacheStats& earlier) 
   return delta;
 }
 
-ScheduleCache::ScheduleCache(std::size_t capacity, std::size_t shards) {
+ScheduleCache::ScheduleCache(std::size_t capacity, std::string store_directory) {
   ARL_EXPECTS(capacity >= 1, "ScheduleCache capacity must be >= 1");
-  if (shards == 0) {
-    shards = 8;
-  }
   // Rounding the shard count *down* to a power of two and the per-shard
   // slice down as well keeps the total bound at or under the requested
   // capacity (never over it).
-  const std::size_t shard_count = round_down_pow2(std::min(shards, capacity));
+  const std::size_t shard_count = round_down_pow2(std::min(kShards, capacity));
   shard_capacity_ = capacity / shard_count;
   shards_ = std::vector<Shard>(shard_count);
+  if (!store_directory.empty()) {
+    artifacts_.emplace(std::move(store_directory));
+  }
 }
+
+class ScheduleCache::Claim {
+ public:
+  Claim(Shard& shard, std::uint64_t key) : shard_(shard), key_(key) {}
+  Claim(const Claim&) = delete;
+  Claim& operator=(const Claim&) = delete;
+  ~Claim() {
+    {
+      const std::lock_guard<std::mutex> lock(shard_.mutex);
+      std::erase(shard_.in_flight, key_);
+    }
+    shard_.settled.notify_all();
+  }
+
+ private:
+  Shard& shard_;
+  std::uint64_t key_;
+};
 
 ScheduleCache::Shard& ScheduleCache::shard_for(std::uint64_t key) {
   // The low bits select the index bucket inside a shard; use high bits for
@@ -73,46 +98,87 @@ ScheduleCache::Shard& ScheduleCache::shard_for(std::uint64_t key) {
   return shards_[(key >> 48) & (shards_.size() - 1)];
 }
 
+std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::probe(
+    Shard& shard, std::uint64_t key, const config::Configuration& configuration,
+    radio::ChannelModel model, bool fast_classifier) {
+  const auto found = shard.index.find(key);
+  // A digest match must also be an exact match — model, classifier bit and
+  // the configuration itself — or it is a collision and reads as a miss.
+  if (found == shard.index.end() || found->second->model != model ||
+      found->second->fast_classifier != fast_classifier ||
+      found->second->configuration != configuration) {
+    return nullptr;
+  }
+  shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
+  return found->second->compiled;
+}
+
+std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::get(
+    const config::Configuration& configuration, radio::ChannelModel model) {
+  const std::uint64_t key = slot_key(configuration, model, kOneClassifier);
+  Shard& shard = shard_for(key);
+  std::optional<Claim> claim;
+  {
+    const obs::PhaseTimer span(obs::Phase::CacheLookup);
+    {
+      std::unique_lock<std::mutex> lock(shard.mutex);
+      for (;;) {
+        if (auto hit = probe(shard, key, configuration, model, kOneClassifier)) {
+          shard.hits += 1;
+          return hit;
+        }
+        if (std::find(shard.in_flight.begin(), shard.in_flight.end(), key) ==
+            shard.in_flight.end()) {
+          break;
+        }
+        // Another thread is loading or compiling this key: wait for its
+        // entry instead of compiling it a second time.
+        shard.settled.wait(lock);
+      }
+      shard.misses += 1;
+      shard.in_flight.push_back(key);
+      claim.emplace(shard, key);
+    }
+    if (artifacts_) {
+      if (auto loaded = artifacts_->load(configuration, model, kOneClassifier)) {
+        // Nothing was compiled, so the promotion counts no schedule build;
+        // the loaded artifacts are kept, not copied.
+        const obs::PhaseTimer promote_span(obs::Phase::CachePromote);
+        return insert(key, configuration, model, kOneClassifier, std::move(loaded),
+                      /*built=*/false);
+      }
+    }
+  }
+  return store(configuration, model, kOneClassifier, core::compile(configuration, model));
+}
+
 std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::lookup(
     const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier) {
   const std::uint64_t key = slot_key(configuration, model, fast_classifier);
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto found = shard.index.find(key);
-  // A digest match must also be an exact match — model, classifier choice
-  // and the configuration itself — or it is a collision and reads as a miss.
-  if (found == shard.index.end() || found->second->model != model ||
-      found->second->fast_classifier != fast_classifier ||
-      found->second->configuration != configuration) {
-    shard.misses += 1;
-    return nullptr;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
-  shard.hits += 1;
-  return found->second->compiled;
+  auto hit = probe(shard, key, configuration, model, fast_classifier);
+  (hit ? shard.hits : shard.misses) += 1;
+  return hit;
 }
 
 std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::store(
     const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
     core::CompiledConfiguration compiled) {
   ARL_EXPECTS(compiled.schedule != nullptr, "ScheduleCache::store needs the compiled schedule");
-  return insert(configuration, model, fast_classifier,
-                std::make_shared<const core::CompiledConfiguration>(std::move(compiled)),
-                /*built=*/true);
-}
-
-std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::promote(
-    const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
-    std::shared_ptr<const core::CompiledConfiguration> loaded) {
-  ARL_EXPECTS(loaded != nullptr && loaded->schedule != nullptr,
-              "ScheduleCache::promote needs a complete entry");
-  return insert(configuration, model, fast_classifier, std::move(loaded), /*built=*/false);
+  auto stored = insert(slot_key(configuration, model, fast_classifier), configuration, model,
+                       fast_classifier,
+                       std::make_shared<const core::CompiledConfiguration>(std::move(compiled)),
+                       /*built=*/true);
+  if (artifacts_) {
+    artifacts_->save(configuration, model, fast_classifier, *stored);
+  }
+  return stored;
 }
 
 std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::insert(
-    const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier,
-    std::shared_ptr<const core::CompiledConfiguration> entry, bool built) {
-  const std::uint64_t key = slot_key(configuration, model, fast_classifier);
+    std::uint64_t key, const config::Configuration& configuration, radio::ChannelModel model,
+    bool fast_classifier, std::shared_ptr<const core::CompiledConfiguration> entry, bool built) {
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   if (built) {
@@ -120,10 +186,11 @@ std::shared_ptr<const core::CompiledConfiguration> ScheduleCache::insert(
   }
   const auto found = shard.index.find(key);
   if (found != shard.index.end()) {
-    // Replacement: a racing worker's duplicate compile (the same artifacts)
-    // or, astronomically rarely, a digest collision.  The verification
-    // fields are rewritten with the artifacts, so a later lookup verifies
-    // against the configuration they were compiled from.
+    // Replacement: a store() racing get() or another store() on the same
+    // key (the same artifacts) or, astronomically rarely, a digest
+    // collision.  The verification fields are rewritten with the artifacts,
+    // so a later lookup verifies against the configuration they were
+    // compiled from.
     Slot& slot = *found->second;
     slot.configuration = configuration;
     slot.model = model;

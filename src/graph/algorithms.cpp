@@ -1,7 +1,6 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "support/assert.hpp"
 
@@ -11,11 +10,14 @@ std::vector<NodeId> bfs_distances(const Graph& graph, NodeId source) {
   const NodeId n = graph.node_count();
   ARL_EXPECTS(source < n, "source out of range");
   std::vector<NodeId> distance(n, n);  // n == "unreachable"
-  std::deque<NodeId> frontier{source};
+  // Each node enters the frontier once, so one vector read through a
+  // cursor is the whole FIFO queue.
+  std::vector<NodeId> frontier;
+  frontier.reserve(n);
+  frontier.push_back(source);
   distance[source] = 0;
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop_front();
+  for (std::size_t next = 0; next < frontier.size(); ++next) {
+    const NodeId v = frontier[next];
     for (const NodeId w : graph.neighbors(v)) {
       if (distance[w] == n) {
         distance[w] = distance[v] + 1;
@@ -29,24 +31,27 @@ std::vector<NodeId> bfs_distances(const Graph& graph, NodeId source) {
 std::vector<NodeId> components(const Graph& graph) {
   const NodeId n = graph.node_count();
   std::vector<NodeId> component(n, n);
-  NodeId next = 0;
+  // Every node enters the frontier exactly once across all components, so
+  // one buffer read through one cursor serves every search.
+  std::vector<NodeId> frontier;
+  frontier.reserve(n);
+  std::size_t next = 0;
+  NodeId label = 0;
   for (NodeId start = 0; start < n; ++start) {
     if (component[start] != n) {
       continue;
     }
-    component[start] = next;
-    std::deque<NodeId> frontier{start};
-    while (!frontier.empty()) {
-      const NodeId v = frontier.front();
-      frontier.pop_front();
-      for (const NodeId w : graph.neighbors(v)) {
+    component[start] = label;
+    frontier.push_back(start);
+    for (; next < frontier.size(); ++next) {
+      for (const NodeId w : graph.neighbors(frontier[next])) {
         if (component[w] == n) {
-          component[w] = next;
+          component[w] = label;
           frontier.push_back(w);
         }
       }
     }
-    ++next;
+    ++label;
   }
   return component;
 }

@@ -52,8 +52,8 @@ enum class Phase : std::uint8_t {
   ScheduleCompile, ///< core: build_schedule
   Simulate,        ///< radio: one protocol execution on the simulator
   FaultInject,     ///< radio: fault-plan precomputation (crash schedule, stagger)
-  CacheLookup,     ///< schedule-cache lookups (memory tier)
-  CachePromote,    ///< tiered cache: disk hit promoted into memory
+  CacheLookup,     ///< schedule-cache lookups (memory, then the disk tier on a miss)
+  CachePromote,    ///< schedule cache: disk hit promoted into memory
   StoreLoad,       ///< artifact store: load + verify one entry file
   StoreSave,       ///< artifact store: compose + persist one entry file
   ServeQueueWait,  ///< serve: ack-to-begin wait in the dispatcher queue

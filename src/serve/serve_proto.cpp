@@ -191,14 +191,6 @@ SweepRequest parse_sweep_fields(const std::vector<std::string_view>& tokens, std
     sweep.use_cache = false;
   }
 
-  if (const auto store = take_field(tokens, cursor, "store")) {
-    if (*store != "off") {
-      throw ProtoError("store must be 'off' (got '" + std::string(*store) +
-                       "'; the store directory is the server's, omit the field to use it)");
-    }
-    sweep.use_store = false;
-  }
-
   if (cursor < tokens.size()) {
     throw ProtoError("unexpected field '" + std::string(tokens[cursor]) +
                      "' (fields must appear in canonical order)");
@@ -289,9 +281,6 @@ std::string format_request(const Request& request) {
   }
   if (!sweep.use_cache) {
     line += " cache=off";
-  }
-  if (!sweep.use_store) {
-    line += " store=off";
   }
   return line;
 }

@@ -17,7 +17,7 @@
 ///   arl-serve 1 stats
 ///   arl-serve 1 sweep workload=<name> protocols=<p1,p2,...> seed=<u64>
 ///       [fault=<spec>] [count=<u64>] [shard=<i/K>] [threads=<u64>]
-///       [cache=off] [store=off]
+///       [cache=off]
 ///
 /// Fields appear in exactly that order, each at most once.  `workload`, the
 /// protocol names and `fault` must be the *canonical* registry spellings
@@ -27,8 +27,8 @@
 /// shard-report parser enforces).  `count` is required exactly when the
 /// workload does not imply its own job count (`WorkloadSpec::bounded()`);
 /// the optional knobs have canonical-absence defaults (`fault` absent means
-/// none, `cache=off` is the only spelling that disables the shared cache,
-/// `store=off` the only one that skips the server's artifact store).
+/// none, `cache=off` is the only spelling that disables the shared cache —
+/// and with it the server's artifact store, the cache's disk tier).
 ///
 /// Responses (server to client):
 ///
@@ -118,13 +118,9 @@ struct SweepRequest {
   /// server's full pool).  Shapes throughput only, never outcomes.
   std::optional<std::uint64_t> threads;
 
-  /// False when the request opts out of the server's shared schedule cache.
+  /// False when the request opts out of the server's shared schedule cache
+  /// (and so of the artifact store behind it).
   bool use_cache = true;
-
-  /// False when the request opts out of the server's on-disk artifact store
-  /// (it still uses the in-memory tier; `store=off` only skips the disk).
-  /// Meaningful only on servers started with a store directory.
-  bool use_store = true;
 
   friend bool operator==(const SweepRequest& a, const SweepRequest& b) = default;
 };

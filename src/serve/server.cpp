@@ -18,7 +18,6 @@
 #include "engine/batch_runner.hpp"
 #include "obs/metrics.hpp"
 #include "serve/serve_proto.hpp"
-#include "store/tiered_cache.hpp"
 #include "support/line_io.hpp"
 
 #include <cerrno>
@@ -105,16 +104,9 @@ Response error_response(std::string message) {
 struct SweepServer::Impl {
   ServerOptions options;
   engine::BatchRunner runner;
-  // Exactly one of these is set when caching is on: `tiered` (memory LRU
-  // over the artifact store) when a store directory was given, else
-  // `plain_cache`; both null when cache_capacity == 0.
-  std::unique_ptr<engine::ScheduleCache> plain_cache;
-  std::unique_ptr<store::TieredScheduleCache> tiered;
-
-  /// The memory tier, whichever shape the cache has (null when uncached).
-  [[nodiscard]] engine::ScheduleCache* memory_cache() const {
-    return tiered ? &tiered->memory() : plain_cache.get();
-  }
+  // The process-wide schedule cache (with the artifact store as its disk
+  // tier when a store directory was given); null when cache_capacity == 0.
+  std::unique_ptr<engine::ScheduleCache> cache;
 
   int listen_fd = -1;
   int stop_rd = -1;
@@ -202,11 +194,9 @@ struct SweepServer::Impl {
     if (!options.store_directory.empty() && options.cache_capacity == 0) {
       throw ServeError("serve: the artifact store needs the cache enabled (cache_capacity >= 1)");
     }
-    if (!options.store_directory.empty()) {
-      tiered = std::make_unique<store::TieredScheduleCache>(options.store_directory,
-                                                            options.cache_capacity);
-    } else if (options.cache_capacity > 0) {
-      plain_cache = std::make_unique<engine::ScheduleCache>(options.cache_capacity);
+    if (options.cache_capacity > 0) {
+      cache = std::make_unique<engine::ScheduleCache>(options.cache_capacity,
+                                                      options.store_directory);
     }
 
     listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -279,12 +269,17 @@ struct SweepServer::Impl {
   }
 
   CacheTotals totals_snapshot() const {
-    const engine::ScheduleCache* memory = memory_cache();
-    if (memory == nullptr) {
+    if (!cache) {
       return {};
     }
-    const engine::ScheduleCacheStats stats = memory->stats();
+    const engine::ScheduleCacheStats stats = cache->stats();
     return {stats.hits, stats.misses, stats.entries};
+  }
+
+  /// Cumulative counters of the cache's disk tier (zero without a store).
+  store::ArtifactStoreStats store_totals() const {
+    const store::ArtifactStore* artifacts = cache ? cache->artifacts() : nullptr;
+    return artifacts != nullptr ? artifacts->stats() : store::ArtifactStoreStats{};
   }
 
   /// The full ServerStats snapshot a `stats` request answers with (also what
@@ -306,10 +301,8 @@ struct SweepServer::Impl {
       stats.protocol_errors = counters.protocol_errors;
     }
     stats.cache = totals_snapshot();
-    if (tiered) {
-      const store::ArtifactStoreStats store = tiered->artifacts().stats();
-      stats.store = {store.hits, store.misses, store.saves};
-    }
+    const store::ArtifactStoreStats store = store_totals();
+    stats.store = {store.hits, store.misses, store.saves};
     stats.queue_wait = summarize_us(queue_wait_hist.snapshot());
     stats.dispatch = summarize_us(dispatch_hist.snapshot());
     return stats;
@@ -338,46 +331,31 @@ struct SweepServer::Impl {
       if (request.threads) {
         overrides.max_threads = static_cast<std::size_t>(*request.threads);
       }
-      engine::ScheduleCache* const memory = memory_cache();
-      const bool shared = memory != nullptr && request.use_cache;
-      if (shared) {
-        // store=off keeps the warm memory tier but skips the disk: the
-        // request then sees exactly a memory-only server.
-        overrides.shared_cache =
-            (tiered && request.use_store)
-                ? static_cast<core::ScheduleCacheHandle*>(tiered.get())
-                : static_cast<core::ScheduleCacheHandle*>(memory);
-      }
+      engine::ScheduleCache* const shared = request.use_cache ? cache.get() : nullptr;
+      overrides.shared_cache = shared;
 
       // The dispatcher serializes requests, so nothing else touches the
-      // shared cache between these snapshots: the delta is exact.  The
-      // memory tier fronts both shapes, so its counters attribute tiered
-      // requests too (a disk hit promotes into the memory tier).
+      // shared cache between these snapshots: the delta is exact (a disk
+      // hit counts as a memory miss, like a compile).
       engine::ScheduleCacheStats before;
-      if (shared) {
-        before = memory->stats();
+      if (shared != nullptr) {
+        before = shared->stats();
       }
       engine::BatchReport report = runner.run_range(range.begin, range.end, sweep.source,
                                                     overrides);
-      if (shared) {
-        const engine::ScheduleCacheStats delta = memory->stats().since(before);
+      if (shared != nullptr) {
+        const engine::ScheduleCacheStats delta = shared->stats().since(before);
         report.cache = delta;
         result.request_cache = {delta.hits, delta.misses, delta.schedule_builds};
       }
 
-      dist::SweepKey key;
-      key.description = request.workload.name();
-      key.digest = request.workload.digest();
-      key.seed = request.seed;
-      key.total_jobs = sweep.count;
-      key.fault = request.fault.name();
-      key.protocols.reserve(request.protocols.size());
-      for (const core::ProtocolSpec& protocol : request.protocols) {
-        key.protocols.push_back(protocol.name());
-      }
       std::ostringstream out;
-      dist::write_shard_report(dist::make_shard_report(std::move(key), range, std::move(report)),
-                               out);
+      dist::write_shard_report(
+          dist::make_shard_report(dist::make_sweep_key(request.workload, sweep.count,
+                                                       request.protocols, request.seed,
+                                                       request.fault),
+                                  range, std::move(report)),
+          out);
       result.report = out.str();
     } catch (const std::exception& failure) {
       result.report.clear();
@@ -677,19 +655,10 @@ ServerCounters SweepServer::counters() const {
 }
 
 engine::ScheduleCacheStats SweepServer::cache_stats() const {
-  const engine::ScheduleCache* memory = impl_->memory_cache();
-  if (memory == nullptr) {
-    return {};
-  }
-  return memory->stats();
+  return impl_->cache ? impl_->cache->stats() : engine::ScheduleCacheStats{};
 }
 
-store::ArtifactStoreStats SweepServer::store_stats() const {
-  if (!impl_->tiered) {
-    return {};
-  }
-  return impl_->tiered->artifacts().stats();
-}
+store::ArtifactStoreStats SweepServer::store_stats() const { return impl_->store_totals(); }
 
 ServerStats SweepServer::stats() const { return impl_->stats_snapshot(); }
 

@@ -64,11 +64,12 @@ struct ServerOptions {
   /// 0 disables caching entirely (requests run uncached).
   std::size_t cache_capacity = engine::ScheduleCache::kDefaultCapacity;
 
-  /// Directory of an on-disk artifact store behind the shared cache (see
-  /// store/tiered_cache.hpp); empty runs memory-only.  With a store, the
-  /// daemon's warm cache survives restarts: compiles persist as they
-  /// happen, and a fresh process preloads them on first touch.  Requires
-  /// cache_capacity > 0.
+  /// Directory of the on-disk artifact store behind the shared cache (its
+  /// disk tier, see engine/schedule_cache.hpp); empty runs memory-only.
+  /// With a store, the daemon's warm cache survives restarts: compiles
+  /// persist as they happen, and a fresh process preloads them on first
+  /// touch.  Every request that uses the shared cache uses its disk tier.
+  /// Requires cache_capacity > 0.
   std::string store_directory = {};
 
   /// Sweep jobs allowed to *wait* (beyond the one executing); further
@@ -127,11 +128,11 @@ class SweepServer {
   /// Snapshot of the counters.
   [[nodiscard]] ServerCounters counters() const;
 
-  /// Cumulative counters of the shared schedule cache's memory tier (all
-  /// zero when caching is disabled).
+  /// Cumulative counters of the shared schedule cache (all zero when
+  /// caching is disabled).
   [[nodiscard]] engine::ScheduleCacheStats cache_stats() const;
 
-  /// Cumulative counters of the artifact store tier (all zero when the
+  /// Cumulative counters of the shared cache's disk tier (all zero when the
   /// server runs without a store directory).
   [[nodiscard]] store::ArtifactStoreStats store_stats() const;
 

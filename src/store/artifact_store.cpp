@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,6 +12,8 @@
 #include "obs/metrics.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
+#include "support/line_io.hpp"
+#include "support/parse.hpp"
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -37,25 +40,10 @@ std::uint64_t entry_key(const config::Configuration& configuration, radio::Chann
       .digest();
 }
 
-std::string hex64(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
 std::uint64_t parse_hex64(const std::string& token) {
-  ARL_EXPECTS(
-      token.size() == 16 && token.find_first_not_of("0123456789abcdef") == std::string::npos,
-      "artifact field must be 16 lowercase hex digits");
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    value = (value << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  return value;
+  const std::optional<std::uint64_t> value = support::parse_hex64(token);
+  ARL_EXPECTS(value.has_value(), "artifact field must be 16 lowercase hex digits");
+  return *value;
 }
 
 /// Composes the full entry file contents (including the `end` line).
@@ -64,31 +52,20 @@ std::string compose_entry(std::uint64_t key, const config::Configuration& config
                           const core::CompiledConfiguration& compiled) {
   std::ostringstream body;
   body << "arl-artifact 2\n";
-  body << "key " << hex64(key) << '\n';
+  body << "key " << support::hex64(key) << '\n';
   body << "model " << (model == radio::ChannelModel::CollisionDetection ? "cd" : "nocd") << '\n';
   body << "fast " << (fast_classifier ? 1 : 0) << '\n';
-  body << "config-fingerprint " << hex64(config::fingerprint(configuration)) << '\n';
+  body << "config-fingerprint " << support::hex64(config::fingerprint(configuration)) << '\n';
   body << "classification-fingerprint "
-       << hex64(core::classification_fingerprint(compiled.classification)) << '\n';
-  body << "schedule-fingerprint " << hex64(core::schedule_fingerprint(*compiled.schedule))
-       << '\n';
+       << support::hex64(core::classification_fingerprint(compiled.classification)) << '\n';
+  body << "schedule-fingerprint "
+       << support::hex64(core::schedule_fingerprint(*compiled.schedule)) << '\n';
   config::to_text(configuration, body);
   core::classification_to_text(compiled.classification, body);
   core::schedule_to_text(*compiled.schedule, body);
   std::string text = body.str();
-  text += "end " + hex64(support::hash_text_bulk(text, kBodyDigestSeed)) + '\n';
+  text += "end " + support::hex64(support::hash_text_bulk(text, kBodyDigestSeed)) + '\n';
   return text;
-}
-
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
-      continue;
-    }
-    return true;
-  }
-  return false;
 }
 
 /// Parses and fully verifies an entry file's contents against the queried
@@ -120,7 +97,7 @@ core::CompiledConfiguration parse_entry(const std::string& text, std::uint64_t k
   std::string keyword;
   std::string value;
   const auto field = [&](const char* name) {
-    ARL_EXPECTS(next_content_line(in, line), "artifact truncated");
+    ARL_EXPECTS(support::next_content_line(in, line), "artifact truncated");
     std::istringstream parse(line);
     parse >> keyword >> value;
     ARL_EXPECTS(!parse.fail() && keyword == name, "malformed artifact header field");
@@ -242,14 +219,15 @@ ArtifactStore::ArtifactStore(std::string directory) : directory_(std::move(direc
 
 std::string ArtifactStore::entry_path(const config::Configuration& configuration,
                                       radio::ChannelModel model, bool fast_classifier) const {
-  return directory_ + '/' + hex64(entry_key(configuration, model, fast_classifier)) + ".arl";
+  return directory_ + '/' + support::hex64(entry_key(configuration, model, fast_classifier)) +
+         ".arl";
 }
 
 std::shared_ptr<const core::CompiledConfiguration> ArtifactStore::load(
     const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier) {
   const obs::PhaseTimer span(obs::Phase::StoreLoad);
   const std::uint64_t key = entry_key(configuration, model, fast_classifier);
-  const std::string path = directory_ + '/' + hex64(key) + ".arl";
+  const std::string path = directory_ + '/' + support::hex64(key) + ".arl";
 
   std::string text;
   {
@@ -291,7 +269,7 @@ void ArtifactStore::save(const config::Configuration& configuration, radio::Chan
   ARL_EXPECTS(compiled.schedule != nullptr, "ArtifactStore::save needs the compiled schedule");
   const obs::PhaseTimer span(obs::Phase::StoreSave);
   const std::uint64_t key = entry_key(configuration, model, fast_classifier);
-  const std::string path = directory_ + '/' + hex64(key) + ".arl";
+  const std::string path = directory_ + '/' + support::hex64(key) + ".arl";
 
   std::uint64_t tmp_id = 0;
   {

@@ -69,4 +69,15 @@ std::vector<std::string> read_lines(std::istream& in, std::size_t max_line_bytes
   return lines;
 }
 
+bool next_content_line(std::istream& in, std::string& line) {
+  while (std::getline(in, line)) {
+    const auto first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] == '#') {
+      continue;
+    }
+    return true;
+  }
+  return false;
+}
+
 }  // namespace arl::support

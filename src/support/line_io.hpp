@@ -15,7 +15,8 @@
 ///
 /// `LineFramer` is the incremental core: feed() raw bytes as they arrive,
 /// pop() complete lines as they frame.  `read_lines` is the whole-stream
-/// convenience the file parsers use.
+/// convenience the file parsers use, and `next_content_line` the
+/// comment-skipping reader of the artifact text formats.
 
 #include <cstddef>
 #include <deque>
@@ -87,5 +88,10 @@ class LineFramer {
 /// crosses it.
 [[nodiscard]] std::vector<std::string> read_lines(
     std::istream& in, std::size_t max_line_bytes = LineFramer::kDefaultMaxLine);
+
+/// Reads the next content line of a text artifact into `line`, skipping
+/// blank lines and '#' comments; false at end of input.  The one reader of
+/// the configuration, classification, schedule and artifact-store formats.
+bool next_content_line(std::istream& in, std::string& line);
 
 }  // namespace arl::support

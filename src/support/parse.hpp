@@ -6,7 +6,9 @@
 /// whose `p=` values travel inside shard-report descriptions), the
 /// shard-report wire format (dist/report_io.cpp) and the sweep-service
 /// request protocol (serve/serve_proto.cpp).  One predicate and one integer
-/// parser, so the parsers can never drift apart on what a number looks like.
+/// parser, so the parsers can never drift apart on what a number looks like;
+/// likewise one hex64 spelling for the digests the artifact store and the
+/// shard-report format write.
 ///
 /// The spec-grammar helpers below (kind-token tables, `check`,
 /// `parse_number`, `parse_probability`, `shortest_double`) are the one copy
@@ -94,6 +96,35 @@ namespace arl::support {
   }
   if (value > max) {
     return std::nullopt;
+  }
+  return value;
+}
+
+/// The 16 lowercase hex digits of `value` — the spelling of every digest
+/// and key in the artifact store and the shard-report format.
+[[nodiscard]] inline std::string hex64(std::uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
+    value >>= 4;
+  }
+  return out;
+}
+
+/// Parses exactly the hex64 spelling: 16 lowercase hex digits.  Returns
+/// nullopt on any other text so callers translate into their own error
+/// types.
+[[nodiscard]] constexpr std::optional<std::uint64_t> parse_hex64(std::string_view text) {
+  if (text.size() != 16) {
+    return std::nullopt;
+  }
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if ((c < '0' || c > '9') && (c < 'a' || c > 'f')) {
+      return std::nullopt;
+    }
+    value = (value << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
   }
   return value;
 }

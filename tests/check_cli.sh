@@ -228,10 +228,12 @@ done
 # ------------------------------------------------------------ unknown flags
 
 # Every subcommand rejects flags it does not read with exit 2 and names the
-# offending flag: a misspelling, and the retired --engine (the simulator
-# loop is not a user setting), must fail instead of being silently ignored.
-# Each case is "<flag the error names>:<command line>".
+# offending flag: a misspelling, the retired --engine (the simulator loop is
+# not a user setting) and submit's retired --store (every request that uses
+# the server's cache uses its disk tier) must fail instead of being silently
+# ignored.  Each case is "<flag the error names>:<command line>".
 for case_ in "engine:sweep --count=1 --engine=scalar" \
+             "store:submit --socket=$tmpdir/none.sock --store=off" \
              "thraeds:sweep --count=1 --thraeds=3 --bogus" \
              "engine:submit --socket=$tmpdir/none.sock --engine=scalar" \
              "fast:elect --fast" "verbose:workloads --verbose" \
@@ -338,8 +340,8 @@ head -5 "$tmpdir/s0.txt" > "$tmpdir/truncated.txt"
 
 # ----------------------------------------------------------- artifact store
 
-# Bad --store values exit 2: an empty path, the server-side "off" spelling,
-# and the contradictory store-without-cache combination.
+# Bad --store values exit 2: an empty path, "off" (the flag's absence is
+# off) and the contradictory store-without-cache combination.
 "$cli" sweep --store= --count=1 >/dev/null 2>&1
 [ $? -eq 2 ] || fail "empty --store= should exit 2"
 "$cli" sweep --store=off --count=1 >/dev/null 2>&1

@@ -47,20 +47,11 @@ engine::CountedSweep registry_sweep() {
                                          {.count = kConfigurations});
 }
 
-/// The sweep identity of a (workload, sweep, protocols) triple — what
-/// make_sweep_key in the CLI builds.
+/// The sweep identity of a (workload, sweep, protocols) triple, unfaulted.
 dist::SweepKey workload_key(const engine::WorkloadSpec& workload,
                             const engine::CountedSweep& sweep,
                             const std::vector<core::ProtocolSpec>& protocols) {
-  dist::SweepKey key;
-  key.description = workload.name();
-  key.digest = workload.digest();
-  key.seed = kSeed;
-  key.total_jobs = sweep.count;
-  for (const core::ProtocolSpec& protocol : protocols) {
-    key.protocols.push_back(protocol.name());
-  }
-  return key;
+  return dist::make_sweep_key(workload, sweep.count, protocols, kSeed, {});
 }
 
 dist::SweepKey registry_key(const engine::CountedSweep& sweep) {

@@ -38,15 +38,8 @@ engine::RandomSweep registry_sweep() {
 
 constexpr engine::JobId kParityConfigurations = 12;
 
-/// A complete cache entry (classification and schedule), as every compile
-/// stores one.
-core::CompiledConfiguration compile(const config::Configuration& c, radio::ChannelModel model) {
-  core::CompiledConfiguration compiled;
-  compiled.classification = core::Classifier(model).run(c);
-  compiled.schedule = std::make_shared<const core::CanonicalSchedule>(
-      core::build_schedule(c, compiled.classification));
-  return compiled;
-}
+/// A complete entry (classification and schedule), as every compile makes.
+using core::compile;
 
 TEST(ScheduleCache, CacheOnAndCacheOffBatchesAreBitIdentical) {
   const engine::RandomSweep sweep = registry_sweep();
@@ -119,6 +112,23 @@ TEST(ScheduleCache, LookupMissesThenHitsTheStoredEntry) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
+}
+
+TEST(ScheduleCache, GetCompilesOnMissAndSharesTheEntryAfter) {
+  engine::ScheduleCache cache(16);
+  const config::Configuration c = config::family_h(2);
+  const auto model = radio::ChannelModel::CollisionDetection;
+  const auto first = cache.get(c, model);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->classification, compile(c, model).classification);
+  EXPECT_EQ(cache.get(c, model), first);
+  EXPECT_EQ(cache.lookup(c, model, false), first);  // get() keys with the classifier bit off
+
+  const engine::ScheduleCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.schedule_builds, 1u);
+  EXPECT_EQ(cache.artifacts(), nullptr);
 }
 
 TEST(ScheduleCache, KeysSeparateModelAndClassifierChoice) {

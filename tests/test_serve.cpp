@@ -22,7 +22,6 @@
 #include "serve/client.hpp"
 #include "serve/serve_proto.hpp"
 #include "serve/server.hpp"
-#include "store/artifact_store.hpp"
 
 #include <dirent.h>
 #include <sys/socket.h>
@@ -160,7 +159,8 @@ TEST(ServeProto, RejectsMalformedRequests) {
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1",
       // Bounded workload with a count.
       "arl-serve 1 sweep workload=exhaustive:n=3,tau=1 protocols=canonical seed=1 count=5",
-      // Zero count / zero threads / retired engine field / bad shard / bad cache.
+      // Zero count / zero threads / retired engine and store fields / bad
+      // shard / bad cache.
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=0",
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
       "threads=0",
@@ -170,6 +170,10 @@ TEST(ServeProto, RejectsMalformedRequests) {
       "engine=scalar",
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
       "engine=wavefront",
+      "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
+      "store=off",
+      "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
+      "cache=off store=off",
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
       "shard=3/3",
       "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
@@ -562,7 +566,15 @@ TEST_F(ServeTest, MalformedLinesGetErrorResponsesNotCrashes) {
       "engine=scalar");
   EXPECT_EQ(engine_reply.rfind("arl-serve 1 error unexpected field 'engine=scalar'", 0), 0u)
       << engine_reply;
-  EXPECT_EQ(server.counters().protocol_errors, 4u);
+  // So is the retired store= field: every request that uses the shared
+  // cache uses its disk tier.
+  const std::string store_reply = raw_exchange(
+      socket_path_,
+      "arl-serve 1 sweep workload=random:n=8,p=0.3,sigma=3 protocols=canonical seed=1 count=5 "
+      "store=off");
+  EXPECT_EQ(store_reply.rfind("arl-serve 1 error unexpected field 'store=off'", 0), 0u)
+      << store_reply;
+  EXPECT_EQ(server.counters().protocol_errors, 5u);
 
   // And the server still serves: a well-formed submission succeeds.
   serve::Client client(socket_path_);
@@ -779,50 +791,6 @@ TEST_F(ServeTest, TheWarmCacheSurvivesARestartThroughTheStore) {
   }
 
   // Store teardown (the fixture only removes dir_ itself).
-  const std::string store_dir = dir_ + "/store";
-  if (DIR* d = ::opendir(store_dir.c_str())) {
-    while (const dirent* entry = ::readdir(d)) {
-      const std::string name = entry->d_name;
-      if (name != "." && name != "..") {
-        (void)::unlink((store_dir + "/" + name).c_str());
-      }
-    }
-    ::closedir(d);
-  }
-  ::rmdir(store_dir.c_str());
-}
-
-TEST_F(ServeTest, AStoreOffRequestSkipsTheDiskTierOnly) {
-  serve::ServerOptions options;
-  options.socket_path = socket_path_;
-  options.threads = 1;
-  options.store_directory = dir_ + "/store";
-  serve::SweepServer server(options);
-  std::thread runner = serve_on_thread(server);
-
-  serve::Client client(socket_path_);
-  serve::SweepRequest request = small_sweep_request();
-  request.use_store = false;
-
-  // store=off: the sweep runs against the memory tier alone — nothing is
-  // persisted, nothing is read.
-  const serve::SubmitResult bypassed = client.submit(request);
-  ASSERT_TRUE(bypassed.ok()) << bypassed.outcome.message;
-  EXPECT_EQ(server.store_stats(), store::ArtifactStoreStats{});
-  EXPECT_GT(server.cache_stats().entries, 0u) << "the memory tier was skipped too";
-
-  // A store-on request over *new* configurations compiles and persists them
-  // (the store=off entries stay memory-only: write-through persists at
-  // compile time, and those compiles opted out).
-  serve::SweepRequest fresh = small_sweep_request();
-  fresh.seed = request.seed + 1;
-  const serve::SubmitResult persisted = client.submit(fresh);
-  ASSERT_TRUE(persisted.ok()) << persisted.outcome.message;
-  EXPECT_GT(server.store_stats().saves, 0u);
-
-  server.request_stop();
-  runner.join();
-
   const std::string store_dir = dir_ + "/store";
   if (DIR* d = ::opendir(store_dir.c_str())) {
     while (const dirent* entry = ::readdir(d)) {

@@ -4,9 +4,9 @@
 /// every corruption — truncation, flipped bytes, swapped files, partial tmp
 /// residue — reads as a *miss*, never as a wrong artifact; crash-safe
 /// writes leave no partial entry visible; and store-on, store-off and
-/// store-warm batch runs are bit-identical job for job.  Plus the tiered
-/// cache's promote/write-through plumbing and the classification text
-/// format itself.
+/// store-warm batch runs are bit-identical job for job.  Plus the schedule
+/// cache's disk tier (promotion of disk hits, write-through saves) and the
+/// classification text format itself.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
+#include <latch>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,9 +29,10 @@
 #include "core/schedule.hpp"
 #include "core/schedule_io.hpp"
 #include "engine/batch_runner.hpp"
+#include "engine/schedule_cache.hpp"
 #include "engine/sweep.hpp"
+#include "engine/workload.hpp"
 #include "store/artifact_store.hpp"
-#include "store/tiered_cache.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 
@@ -114,6 +117,12 @@ class StoreTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    remove_entries();
+    ::rmdir(dir_.c_str());
+  }
+
+  /// Empties the store directory.
+  void remove_entries() const {
     if (DIR* d = ::opendir(dir_.c_str())) {
       while (const dirent* entry = ::readdir(d)) {
         const std::string name = entry->d_name;
@@ -123,7 +132,6 @@ class StoreTest : public ::testing::Test {
       }
       ::closedir(d);
     }
-    ::rmdir(dir_.c_str());
   }
 
   /// Entries currently visible to a load (final names, not tmp files).
@@ -159,14 +167,8 @@ class StoreTest : public ::testing::Test {
   std::string dir_;
 };
 
-/// A fully compiled entry (classification + schedule) for a configuration.
-core::CompiledConfiguration compile(const config::Configuration& c, radio::ChannelModel model) {
-  core::CompiledConfiguration compiled;
-  compiled.classification = core::Classifier(model).run(c);
-  compiled.schedule = std::make_shared<const core::CanonicalSchedule>(
-      core::build_schedule(c, compiled.classification));
-  return compiled;
-}
+/// A complete entry (classification and schedule), as every compile makes.
+using core::compile;
 
 TEST_F(StoreTest, ScheduleBearingEntryRoundTrips) {
   const config::Configuration c = config::family_g(2);
@@ -425,18 +427,18 @@ TEST_F(StoreTest, VersionOneEntryIsRejectedThenRewrittenAsVersionTwo) {
        << support::hash_text_bulk(body.str(), kBodyDigestSeed) << '\n';
   const std::string v1 = body.str();
 
-  store::TieredScheduleCache tiered(dir_, 64);
-  const std::string path = tiered.artifacts().entry_path(c, model, false);
+  engine::ScheduleCache cache(64, dir_);
+  const std::string path = cache.artifacts()->entry_path(c, model, false);
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << v1;
   }
   core::ElectionScratch scratch;
-  scratch.schedule_cache = &tiered;
+  scratch.schedule_cache = &cache;
   const core::ElectionReport report =
       core::run_protocol(c, core::ProtocolSpec::classify_only(), {}, scratch);
   EXPECT_EQ(*report.classification, classification);
-  const store::ArtifactStoreStats stats = tiered.artifacts().stats();
+  const store::ArtifactStoreStats stats = cache.artifacts()->stats();
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.saves, 1u);
 
@@ -464,7 +466,7 @@ TEST_F(StoreTest, StatsSinceSubtractsCounters) {
   EXPECT_EQ(delta.hits, 1u);
 }
 
-// --------------------------------------------------------------- tiered cache
+// ------------------------------------------------------ the cache's disk tier
 
 TEST_F(StoreTest, TieredLookupPromotesDiskHitsIntoMemory) {
   const config::Configuration c = config::family_g(2);
@@ -474,30 +476,85 @@ TEST_F(StoreTest, TieredLookupPromotesDiskHitsIntoMemory) {
               compile(c, radio::ChannelModel::CollisionDetection));
   }
 
-  store::TieredScheduleCache tiered(dir_, 64);
-  const auto first = tiered.lookup(c, radio::ChannelModel::CollisionDetection, false);
+  engine::ScheduleCache cache(64, dir_);
+  const auto first = cache.get(c, radio::ChannelModel::CollisionDetection);
   ASSERT_NE(first, nullptr);
-  EXPECT_EQ(tiered.artifacts().stats().hits, 1u);
-  EXPECT_EQ(tiered.memory().stats().entries, 1u) << "disk hit was not promoted";
+  EXPECT_EQ(cache.artifacts()->stats().hits, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u) << "disk hit was not promoted";
+  EXPECT_EQ(cache.stats().schedule_builds, 0u) << "a disk hit counted as a build";
 
-  // The second lookup is served from memory: disk counters do not move.
-  const auto second = tiered.lookup(c, radio::ChannelModel::CollisionDetection, false);
+  // The second get is served from memory: disk counters do not move.
+  const auto second = cache.get(c, radio::ChannelModel::CollisionDetection);
   ASSERT_NE(second, nullptr);
-  EXPECT_EQ(tiered.artifacts().stats().hits, 1u);
+  EXPECT_EQ(cache.artifacts()->stats().hits, 1u);
   EXPECT_EQ(second->classification, first->classification);
 }
 
 TEST_F(StoreTest, TieredStoreIsWriteThrough) {
   const config::Configuration c = config::family_h(2);
-  store::TieredScheduleCache tiered(dir_, 64);
-  (void)tiered.store(c, radio::ChannelModel::CollisionDetection, false,
-                     compile(c, radio::ChannelModel::CollisionDetection));
-  EXPECT_EQ(tiered.artifacts().stats().saves, 1u);
+  engine::ScheduleCache cache(64, dir_);
+  (void)cache.store(c, radio::ChannelModel::CollisionDetection, false,
+                    compile(c, radio::ChannelModel::CollisionDetection));
+  EXPECT_EQ(cache.artifacts()->stats().saves, 1u);
 
-  // A brand-new tiered cache over the same directory (fresh process) finds
-  // the entry on disk without any prior store() in its lifetime.
-  store::TieredScheduleCache fresh(dir_, 64);
-  EXPECT_NE(fresh.lookup(c, radio::ChannelModel::CollisionDetection, false), nullptr);
+  // A brand-new cache over the same directory (fresh process) finds the
+  // entry on disk without any prior store() in its lifetime.
+  engine::ScheduleCache fresh(64, dir_);
+  EXPECT_NE(fresh.get(c, radio::ChannelModel::CollisionDetection), nullptr);
+  EXPECT_EQ(fresh.stats().schedule_builds, 0u);
+}
+
+TEST_F(StoreTest, SingleFlightCompilesEachKeyOnceUnderThreads) {
+  // Threads released together get() the same keys in the same order, so
+  // most keys are asked for by several threads at once.  With or without
+  // the disk tier, each key misses and compiles exactly once; every other
+  // call waits for that compile, counts a hit and shares its entry.
+  constexpr int kRounds = 20;
+  constexpr std::size_t kThreads = 4;
+  const radio::ChannelModel model = radio::ChannelModel::CollisionDetection;
+  const engine::CountedSweep sweep = engine::parse_workload("random:n=12,p=0.3,sigma=3")
+                                         .instantiate(7, {core::ProtocolSpec::canonical()},
+                                                      {.count = 24});
+  std::vector<config::Configuration> keys;
+  std::set<config::Fingerprint> distinct;
+  for (engine::JobId id = 0; id < sweep.count; ++id) {
+    keys.push_back(sweep.source(id).configuration);
+    distinct.insert(config::fingerprint(keys.back()));
+  }
+  using Entries = std::vector<std::shared_ptr<const core::CompiledConfiguration>>;
+  for (const bool with_store : {false, true}) {
+    for (int round = 0; round < kRounds; ++round) {
+      remove_entries();
+      engine::ScheduleCache cache(engine::ScheduleCache::kDefaultCapacity,
+                                  with_store ? dir_ : std::string());
+      std::latch start(kThreads);
+      std::vector<Entries> entries(kThreads);
+      std::vector<std::thread> workers;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t]() {
+          start.arrive_and_wait();
+          for (const config::Configuration& c : keys) {
+            entries[t].push_back(cache.get(c, model));
+          }
+        });
+      }
+      for (std::thread& worker : workers) {
+        worker.join();
+      }
+      const engine::ScheduleCacheStats stats = cache.stats();
+      const std::string where =
+          (with_store ? "with store, round " : "memory only, round ") + std::to_string(round);
+      ASSERT_EQ(stats.misses, distinct.size()) << where;
+      ASSERT_EQ(stats.schedule_builds, distinct.size()) << where;
+      ASSERT_EQ(stats.hits, kThreads * keys.size() - distinct.size()) << where;
+      for (std::size_t t = 1; t < kThreads; ++t) {
+        ASSERT_EQ(entries[t], entries[0]) << where << ", thread " << t;
+      }
+      if (with_store) {
+        ASSERT_EQ(cache.artifacts()->stats().saves, distinct.size()) << where;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- batch parity

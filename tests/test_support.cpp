@@ -358,6 +358,30 @@ TEST(ParseDecimalU64, RejectsNonCanonicalAndOutOfRange) {
   EXPECT_EQ(parse_decimal_u64("10", 10), 10u);                         // at max
 }
 
+TEST(Hex64, RoundTripsAndRejectsEveryOtherSpelling) {
+  EXPECT_EQ(hex64(0), "0000000000000000");
+  EXPECT_EQ(hex64(0x0123456789abcdefULL), "0123456789abcdef");
+  for (const std::uint64_t value : {std::uint64_t{0}, std::uint64_t{0xdeadbeef},
+                                    std::numeric_limits<std::uint64_t>::max()}) {
+    EXPECT_EQ(parse_hex64(hex64(value)), value);
+  }
+  EXPECT_EQ(parse_hex64(""), std::nullopt);
+  EXPECT_EQ(parse_hex64("123456789abcdef"), std::nullopt);    // 15 digits
+  EXPECT_EQ(parse_hex64("0123456789abcdef0"), std::nullopt);  // 17 digits
+  EXPECT_EQ(parse_hex64("0123456789ABCDEF"), std::nullopt);   // upper case
+  EXPECT_EQ(parse_hex64("0123456789abcdeg"), std::nullopt);
+}
+
+TEST(NextContentLine, SkipsBlankAndCommentLines) {
+  std::istringstream in("# header\n\n  \t\r\n  # indented comment\nnodes 3\n\nedges\n");
+  std::string line;
+  ASSERT_TRUE(next_content_line(in, line));
+  EXPECT_EQ(line, "nodes 3");
+  ASSERT_TRUE(next_content_line(in, line));
+  EXPECT_EQ(line, "edges");
+  EXPECT_FALSE(next_content_line(in, line));
+}
+
 // ---------------------------------------------------------------- stopwatch
 
 TEST(Stopwatch, MeasuresForwardTime) {

@@ -201,9 +201,7 @@ commands:
                --threads=N       cap this request's workers in [1, 256]
                                  (omit for the server's full pool)
                --cache=off       opt this request out of the shared cache
-               --store=off       opt this request out of the server's
-                                 artifact store (the directory itself is a
-                                 server-side --store option)
+                                 (and the server's --store behind it)
                --timeout=N       give up after N seconds without a server
                                  response, in [0, 86400] (default 0: wait
                                  forever); a timeout exits 1 with a
@@ -411,9 +409,9 @@ std::size_t parse_cache_capacity(const support::Args& args) {
 }
 
 /// Parses the --store flag shared by `sweep` and `serve`: a non-empty
-/// directory path, or "" when the flag is absent.  The store rides on the
-/// cache (its memory tier), so pairing it with an explicit --cache=off is a
-/// contradiction, not a preference.  Throws support::ContractViolation
+/// directory path, or "" when the flag is absent.  The store is the
+/// schedule cache's disk tier, so pairing it with an explicit --cache=off is
+/// a contradiction, not a preference.  Throws support::ContractViolation
 /// (exit 2) on misuse.
 std::string parse_store_directory(const support::Args& args) {
   if (!args.has("store")) {
@@ -424,10 +422,9 @@ std::string parse_store_directory(const support::Args& args) {
     throw support::ContractViolation("--store needs a directory path");
   }
   if (value == "off") {
-    // `submit` spells per-request opt-out as --store=off; for sweep/serve
-    // the flag's absence is off, and "off" would name a directory.
+    // The flag's absence is off; "off" would name a directory.
     throw support::ContractViolation(
-        "--store takes a directory here (omit the flag to run without a store)");
+        "--store takes a directory (omit the flag to run without a store)");
   }
   if (args.has("cache") && parse_cache_capacity(args) == 0) {
     throw support::ContractViolation(
@@ -535,24 +532,6 @@ std::vector<core::ProtocolSpec> sweep_protocols(const support::Args& args) {
                                                   : core::ProtocolSpec::canonical());
   }
   return protocols;
-}
-
-/// The sweep identity shard reports carry (see dist/report_io.hpp): the
-/// workload's canonical name and digest plus the run-sizing fields.
-dist::SweepKey make_sweep_key(const engine::WorkloadSpec& workload, engine::JobId total_jobs,
-                              const std::vector<core::ProtocolSpec>& protocols,
-                              std::uint64_t seed, const fault::FaultSpec& fault) {
-  dist::SweepKey key;
-  key.description = workload.name();
-  key.digest = workload.digest();
-  key.seed = seed;
-  key.total_jobs = total_jobs;
-  key.fault = fault.name();
-  key.protocols.reserve(protocols.size());
-  for (const core::ProtocolSpec& protocol : protocols) {
-    key.protocols.push_back(protocol.name());
-  }
-  return key;
 }
 
 /// Prints the summary, cache and per-protocol tables of a batch report —
@@ -1062,8 +1041,8 @@ int cmd_sweep(const support::Args& args) {
 
   const engine::CountedSweep sweep =
       workload.instantiate(batch_options.seed, protocols, {.count = count});
-  const dist::SweepKey key =
-      make_sweep_key(workload, sweep.count, protocols, batch_options.seed, batch_options.fault);
+  const dist::SweepKey key = dist::make_sweep_key(workload, sweep.count, protocols,
+                                                  batch_options.seed, batch_options.fault);
   if (shard) {
     return run_shard_sweep(sweep, key, batch_options, dist::shard_range(sweep.count, *shard),
                            args.get_string("out", ""));
@@ -1234,10 +1213,6 @@ int cmd_serve(const support::Args& args) {
   options.cache_capacity = args.has("cache") ? parse_cache_capacity(args)
                                              : engine::ScheduleCache::kDefaultCapacity;
   options.store_directory = parse_store_directory(args);
-  if (!options.store_directory.empty() && options.cache_capacity == 0) {
-    throw support::ContractViolation(
-        "--store conflicts with --cache=off (the store is the cache's disk tier)");
-  }
   options.queue_limit = static_cast<std::size_t>(queue_flag);
 
   serve::SweepServer server(std::move(options));
@@ -1288,16 +1263,6 @@ int cmd_submit(const support::Args& args) {
   if (timeout_flag < 0 || timeout_flag > 86400) {
     throw support::ContractViolation("--timeout must be in [0, 86400] seconds (0 = wait forever)");
   }
-  // Validated before connecting (and before --ping returns): a bad value is
-  // a usage error whether or not a server is reachable.
-  bool use_store = true;
-  if (args.has("store")) {
-    if (args.get_string("store", "") != "off") {
-      throw support::ContractViolation(
-          "--store must be off for submit (the directory is a server-side option)");
-    }
-    use_store = false;
-  }
   serve::Client client(socket_path, static_cast<unsigned>(timeout_flag));
 
   if (args.has("ping")) {
@@ -1344,7 +1309,6 @@ int cmd_submit(const support::Args& args) {
           "--cache must be on or off for submit (capacity is a server-side option)");
     }
   }
-  request.use_store = use_store;
 
   const serve::SubmitResult result = client.submit(request);
   if (result.outcome.kind == serve::Response::Kind::Busy) {
@@ -1499,7 +1463,7 @@ int main(int argc, char** argv) {
       {"submit", cmd_submit,
        {"workload", "family", "n", "sigma", "p", "model", "protocol", "classify-only",
         "seed", "fault", "count", "shard", "socket", "timeout", "ping", "threads", "cache",
-        "store", "out"}},
+        "out"}},
       {"stats", cmd_stats, {"socket", "timeout"}},
       {"workloads", cmd_workloads, {}},
       {"faults", cmd_faults, {}},
